@@ -26,12 +26,13 @@ from .seeding import derive_seed
 from .synthgen import SynthSpec, generate
 from .textprep import PreprocessConfig, preprocess
 from .topics import LldaConfig, LldaModel, fit_llda, fit_two_sides, jaccard_index, top_terms
-from .vectorizer import SparseVector, TfidfModel, fit_tfidf
+from .vectorizer import CsrBatch, TfidfModel, fit_tfidf
 
 __all__ = [
     "Algorithm",
     "Comment",
     "CorpusSlice",
+    "CsrBatch",
     "ExperimentSpec",
     "KeywordMethod",
     "KeywordSet",
@@ -41,7 +42,6 @@ __all__ = [
     "Platform",
     "PreprocessConfig",
     "SourceLabel",
-    "SparseVector",
     "SynthSpec",
     "TfidfModel",
     "TrainConfig",

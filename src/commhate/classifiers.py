@@ -1,7 +1,8 @@
 """Binary text classifiers: multinomial naive Bayes, logistic regression,
-and a linear SVM.
+and a linear SVM, all scored through one linear model.
 
-Naive Bayes is fit in closed form from Laplace-smoothed term masses. The two
+Naive Bayes is fit in closed form from Laplace-smoothed term masses; its
+decision function is already linear in the term counts. The two
 linear models share one SGD loop over sparse inputs with L2 regularization
 applied through a lazily maintained global scale, so each update touches only
 the nonzero coordinates of the current instance. The learning rate decays as
@@ -28,9 +29,9 @@ import numpy as np
 
 from .corpus import NEGATIVE, POSITIVE
 from .seeding import derive_seed
-from .vectorizer import SparseVector
+from .vectorizer import CsrBatch
 
-MODEL_SCHEMA_VERSION = 1
+MODEL_SCHEMA_VERSION = 2
 
 
 class Algorithm(str, Enum):
@@ -77,107 +78,72 @@ def _signs(labels: Sequence[str]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Linear model (the decision function of all three algorithms)
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class LinearModel:
+    """Dense weight vector plus unregularized bias. All three algorithms
+    score a document x as bias + weights . x; NB's weights and bias are its
+    log-likelihood-ratio and log-prior-ratio."""
+
+    weights: np.ndarray
+    bias: float
+    algorithm: Algorithm
+
+    def __post_init__(self):
+        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
+
+    @property
+    def dim(self) -> int:
+        return self.weights.size
+
+    def score_all(self, batch: CsrBatch) -> np.ndarray:
+        if batch.dim != self.dim:
+            raise ValueError("vector dimension does not match model")
+        n = len(batch)
+        terms = batch.data * self.weights[batch.indices]
+        # bincount adds in input order, so listing each row's bias before its
+        # terms gives every row the sum a left-to-right loop from the bias gives.
+        return np.bincount(np.concatenate([np.arange(n), batch.row_ids()]),
+                           weights=np.concatenate([np.full(n, self.bias), terms]), minlength=n)
+
+    def predict_all(self, batch: CsrBatch) -> list[str]:
+        return [POSITIVE if s > 0.0 else NEGATIVE for s in self.score_all(batch)]
+
+
+# ---------------------------------------------------------------------------
 # Naive Bayes
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NaiveBayesModel:
-    """Multinomial NB over term-mass vectors. score() is the positive-minus-
-    negative joint log likelihood, so the decision threshold is zero."""
-
-    log_prior: tuple[float, float]  # (positive, negative)
-    log_cond_pos: tuple[float, ...]
-    log_cond_neg: tuple[float, ...]
-    alpha: float
-
-    @property
-    def dim(self) -> int:
-        return len(self.log_cond_pos)
-
-    def score(self, vector: SparseVector) -> float:
-        if vector.dim != self.dim:
-            raise ValueError("vector dimension does not match model")
-        s = self.log_prior[0] - self.log_prior[1]
-        for i, v in zip(vector.indices, vector.values):
-            s += v * (self.log_cond_pos[i] - self.log_cond_neg[i])
-        return s
-
-    def predict(self, vector: SparseVector) -> str:
-        return POSITIVE if self.score(vector) > 0.0 else NEGATIVE
-
-    def predict_all(self, vectors: Sequence[SparseVector]) -> list[str]:
-        return [self.predict(v) for v in vectors]
-
-
-def train_nb(
-    vectors: Sequence[SparseVector], labels: Sequence[str], config: TrainConfig
-) -> NaiveBayesModel:
-    """Closed-form multinomial NB fit.
+def train_nb(vectors: CsrBatch, labels: Sequence[str], config: TrainConfig) -> LinearModel:
+    """Closed-form multinomial NB fit, returned as its linear decision function.
 
     The conditional term masses are whatever the vectors carry; the intended
     input is raw counts, under which this is textbook Laplace-smoothed NB.
     """
     y = _signs(labels)
-    if not vectors:
-        raise ValueError("no training vectors")
-    dim = vectors[0].dim
-    mass = {1.0: np.zeros(dim), -1.0: np.zeros(dim)}
-    n_by_class = {1.0: 0, -1.0: 0}
-    for vec, sign in zip(vectors, y):
-        if vec.dim != dim:
-            raise ValueError("inconsistent vector dimensions")
-        n_by_class[sign] += 1
-        if vec.indices:
-            np.add.at(mass[sign], list(vec.indices), vec.values)
-    alpha = config.nb_alpha
-    n = len(vectors)
-    log_prior = (
-        math.log(n_by_class[1.0] / n),
-        math.log(n_by_class[-1.0] / n),
-    )
-    cond = {}
-    for sign in (1.0, -1.0):
-        total = mass[sign].sum()
-        cond[sign] = np.log(mass[sign] + alpha) - math.log(total + alpha * dim)
-    return NaiveBayesModel(
-        log_prior=log_prior,
-        log_cond_pos=tuple(cond[1.0]),
-        log_cond_neg=tuple(cond[-1.0]),
-        alpha=alpha,
+    if len(vectors) != len(y):
+        raise ValueError("vectors and labels must have equal length")
+    dim, alpha, n = vectors.dim, config.nb_alpha, len(y)
+    positive = y[vectors.row_ids()] > 0
+    log_prior, log_cond = {}, {}
+    for sign, mask in ((1.0, positive), (-1.0, ~positive)):
+        mass = np.bincount(vectors.indices[mask], weights=vectors.data[mask], minlength=dim)
+        log_prior[sign] = math.log(np.count_nonzero(y == sign) / n)
+        log_cond[sign] = np.log(mass + alpha) - math.log(mass.sum() + alpha * dim)
+    return LinearModel(
+        weights=log_cond[1.0] - log_cond[-1.0],
+        bias=log_prior[1.0] - log_prior[-1.0],
+        algorithm=Algorithm.NB,
     )
 
 
 # ---------------------------------------------------------------------------
 # Linear models (logistic regression, linear SVM)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LinearModel:
-    """Dense weight vector plus unregularized bias."""
-
-    weights: tuple[float, ...]
-    bias: float
-    algorithm: Algorithm
-
-    @property
-    def dim(self) -> int:
-        return len(self.weights)
-
-    def score(self, vector: SparseVector) -> float:
-        if vector.dim != self.dim:
-            raise ValueError("vector dimension does not match model")
-        s = self.bias
-        for i, v in zip(vector.indices, vector.values):
-            s += v * self.weights[i]
-        return s
-
-    def predict(self, vector: SparseVector) -> str:
-        return POSITIVE if self.score(vector) > 0.0 else NEGATIVE
-
-    def predict_all(self, vectors: Sequence[SparseVector]) -> list[str]:
-        return [self.predict(v) for v in vectors]
 
 
 def _stable_sigmoid_neg(m: float) -> float:
@@ -191,20 +157,19 @@ def _stable_sigmoid_neg(m: float) -> float:
 def logistic_loss_and_grad(
     weights: np.ndarray,
     bias: float,
-    vector: SparseVector,
+    indices: np.ndarray,
+    values: np.ndarray,
     label: str,
     l2_lambda: float,
 ) -> tuple[float, np.ndarray, float]:
-    """Per-instance regularized logistic loss and its exact gradient.
+    """Per-instance regularized logistic loss and its exact gradient for one
+    CSR row (``indices``, ``values``).
 
     loss = log(1 + exp(-y z)) + lambda/2 ||w||^2 with z = w.x + b. The SGD
     step in train_linear is one plain gradient descent step on this function.
     """
     y = 1.0 if label == POSITIVE else -1.0
-    z = bias
-    for i, v in zip(vector.indices, vector.values):
-        z += v * weights[i]
-    m = y * z
+    m = y * (bias + float(np.dot(weights[indices], values)))
     if m > 0:
         loss = math.log1p(math.exp(-m))
     else:
@@ -212,15 +177,11 @@ def logistic_loss_and_grad(
     loss += 0.5 * l2_lambda * float(np.dot(weights, weights))
     coef = -y * _stable_sigmoid_neg(m)
     grad_w = l2_lambda * weights.copy()
-    if vector.indices:
-        idx = list(vector.indices)
-        grad_w[idx] += coef * np.asarray(vector.values)
+    grad_w[indices] += coef * values
     return loss, grad_w, coef
 
 
-def train_linear(
-    vectors: Sequence[SparseVector], labels: Sequence[str], config: TrainConfig
-) -> LinearModel:
+def train_linear(vectors: CsrBatch, labels: Sequence[str], config: TrainConfig) -> LinearModel:
     """SGD for logistic or hinge loss with lazily scaled L2 shrinkage.
 
     The weight vector is represented as scale * direction; regularization
@@ -231,30 +192,27 @@ def train_linear(
     if config.algorithm not in (Algorithm.LR, Algorithm.SVM):
         raise ValueError(f"train_linear got algorithm {config.algorithm.value!r}")
     y = _signs(labels)
-    if not vectors:
-        raise ValueError("no training vectors")
-    dim = vectors[0].dim
-    pre = []
-    for vec in vectors:
-        if vec.dim != dim:
-            raise ValueError("inconsistent vector dimensions")
-        pre.append((np.asarray(vec.indices, dtype=np.intp), np.asarray(vec.values)))
+    if len(vectors) != len(y):
+        raise ValueError("vectors and labels must have equal length")
+    bounds = vectors.indptr.tolist()
+    indices, data = vectors.indices, vectors.data
 
     hinge = config.algorithm is Algorithm.SVM
     eta0, lam = config.learning_rate, config.l2_lambda
-    direction = np.zeros(dim)
+    direction = np.zeros(vectors.dim)
     scale = 1.0
     bias = 0.0
     t = 0
-    order = list(range(len(vectors)))
+    order = list(range(len(y)))
     rng = random.Random(derive_seed(config.seed, "sgd", config.algorithm.value))
     for epoch in range(config.epochs):
         rng.shuffle(order)
         for i in order:
             t += 1
             eta = eta0 / (1.0 + eta0 * lam * t)
-            idx, vals = pre[i]
-            z = bias + scale * float(np.dot(direction[idx], vals)) if idx.size else bias
+            lo, hi = bounds[i], bounds[i + 1]
+            idx, vals = indices[lo:hi], data[lo:hi]
+            z = bias + scale * float(np.dot(direction[idx], vals)) if hi > lo else bias
             sign = y[i]
             if hinge:
                 step = sign if sign * z < 1.0 else 0.0
@@ -262,7 +220,7 @@ def train_linear(
                 step = sign * _stable_sigmoid_neg(sign * z)
             scale *= 1.0 - eta * lam
             if step != 0.0:
-                if idx.size:
+                if hi > lo:
                     direction[idx] += (eta * step / scale) * vals
                 bias += eta * step
         if not (math.isfinite(scale) and math.isfinite(bias) and np.isfinite(direction).all()):
@@ -270,21 +228,15 @@ def train_linear(
                 f"{config.algorithm.value} training diverged: non-finite "
                 f"parameters after epoch {epoch + 1}"
             )
-    weights = scale * direction
-    return LinearModel(weights=tuple(float(w) for w in weights), bias=bias,
-                       algorithm=config.algorithm)
+    return LinearModel(weights=scale * direction, bias=bias, algorithm=config.algorithm)
 
 
 # ---------------------------------------------------------------------------
 # Dispatch and persistence
 # ---------------------------------------------------------------------------
 
-ClassifierModel = NaiveBayesModel | LinearModel
 
-
-def train(
-    vectors: Sequence[SparseVector], labels: Sequence[str], config: TrainConfig
-) -> ClassifierModel:
+def train(vectors: CsrBatch, labels: Sequence[str], config: TrainConfig) -> LinearModel:
     """Train the configured classifier. Representation-agnostic: callers pass
     count vectors for NB and tf-idf vectors for the linear models."""
     if config.algorithm is Algorithm.NB:
@@ -292,55 +244,41 @@ def train(
     return train_linear(vectors, labels, config)
 
 
-def model_to_dict(model: ClassifierModel, vectorizer_hash: str = "") -> dict:
-    if isinstance(model, NaiveBayesModel):
-        return {
-            "version": MODEL_SCHEMA_VERSION,
-            "algorithm": Algorithm.NB.value,
-            "vectorizer_hash": vectorizer_hash,
-            "alpha": model.alpha,
-            "log_prior": list(model.log_prior),
-            "log_cond_pos": list(model.log_cond_pos),
-            "log_cond_neg": list(model.log_cond_neg),
-        }
+def model_to_dict(model: LinearModel, vectorizer_hash: str = "") -> dict:
     return {
         "version": MODEL_SCHEMA_VERSION,
         "algorithm": model.algorithm.value,
         "vectorizer_hash": vectorizer_hash,
-        "weights": list(model.weights),
+        "weights": model.weights.tolist(),
         "bias": model.bias,
     }
 
 
-def model_from_dict(obj: dict) -> tuple[ClassifierModel, str]:
-    """Returns (model, vectorizer_hash recorded at save time)."""
-    if obj.get("version") != MODEL_SCHEMA_VERSION:
-        raise ValueError(f"unsupported model schema version: {obj.get('version')!r}")
+def model_from_dict(obj: dict) -> tuple[LinearModel, str]:
+    """Returns (model, vectorizer_hash recorded at save time). Also loads
+    schema-v1 files, whose NB models stored per-class log conditionals and
+    log priors; those fold into the same weights and bias."""
+    version = obj.get("version")
+    if version not in (1, MODEL_SCHEMA_VERSION):
+        raise ValueError(f"unsupported model schema version: {version!r}")
     algorithm = Algorithm(obj["algorithm"])
-    vhash = str(obj.get("vectorizer_hash", ""))
-    if algorithm is Algorithm.NB:
-        model: ClassifierModel = NaiveBayesModel(
-            log_prior=(float(obj["log_prior"][0]), float(obj["log_prior"][1])),
-            log_cond_pos=tuple(float(v) for v in obj["log_cond_pos"]),
-            log_cond_neg=tuple(float(v) for v in obj["log_cond_neg"]),
-            alpha=float(obj["alpha"]),
-        )
+    if version == 1 and algorithm is Algorithm.NB:
+        weights = np.asarray(obj["log_cond_pos"], dtype=float) - np.asarray(
+            obj["log_cond_neg"], dtype=float)
+        bias = float(obj["log_prior"][0]) - float(obj["log_prior"][1])
     else:
-        model = LinearModel(
-            weights=tuple(float(w) for w in obj["weights"]),
-            bias=float(obj["bias"]),
-            algorithm=algorithm,
-        )
-    return model, vhash
+        weights, bias = obj["weights"], float(obj["bias"])
+    model = LinearModel(weights=weights, bias=bias, algorithm=algorithm)
+    return model, str(obj.get("vectorizer_hash", ""))
 
 
-def save_model(model: ClassifierModel, path: str, vectorizer_hash: str = "") -> None:
+def save_model(model: LinearModel, path: str, vectorizer_hash: str = "") -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(model_to_dict(model, vectorizer_hash), fh, sort_keys=True)
         fh.write("\n")
 
 
-def load_model(path: str) -> tuple[ClassifierModel, str]:
+def load_model(path: str) -> tuple[LinearModel, str]:
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)

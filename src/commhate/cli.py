@@ -159,16 +159,10 @@ def _load_corpus(path: str, platform: corpus.Platform, communities=None):
 
 
 def _tokenize_corpus(slice_, prep) -> list[list[str]]:
-    docs = []
-    for c in slice_.comments:
-        if c.deleted:
-            continue
-        toks = textprep.preprocess(c.body, prep)
-        if toks:
-            docs.append(toks)
-    if not docs:
+    kept, _dropped = corpus._tokenized(slice_, prep)
+    if not kept:
         raise DataError("corpus is empty after preprocessing")
-    return docs
+    return [toks for _c, toks in kept]
 
 
 def _out_dir(args, cfg: RunConfig) -> str:
@@ -254,26 +248,18 @@ def cmd_preprocess(args, cfg: RunConfig) -> int:
     out_dir = _out_dir(args, cfg)
     out_path = os.path.join(out_dir, args.output)
     slice_ = _load_corpus(args.input, corpus.Platform(args.platform))
-    kept = dropped = 0
+    kept, dropped = corpus._tokenized(slice_, prep)
     with open(out_path, "w", encoding="utf-8") as fh:
-        for c in slice_.comments:
-            if c.deleted:
-                dropped += 1
-                continue
-            toks = textprep.preprocess(c.body, prep)
-            if not toks:
-                dropped += 1
-                continue
+        for c, toks in kept:
             fh.write(json.dumps(
                 {"id": c.id, "community": c.community, "tokens": toks},
                 ensure_ascii=False) + "\n")
-            kept += 1
     _write_manifest(
         out_dir, "preprocess",
-        {"kept": kept, "dropped": dropped, "stopwords": len(prep.stopwords)},
+        {"kept": len(kept), "dropped": dropped, "stopwords": len(prep.stopwords)},
         {"input": args.input}, [out_path],
     )
-    print(f"preprocessed {kept} comment(s) -> {out_path} ({dropped} dropped)")
+    print(f"preprocessed {len(kept)} comment(s) -> {out_path} ({dropped} dropped)")
     return 0
 
 
@@ -419,7 +405,7 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
             f"(recorded {recorded_hash[:12]}, got {actual[:12]})"
         )
     ds, _ = _assemble_dataset(args, cfg, derive_seed(seed, "evaluate", "dataset"))
-    kind = model.algorithm if isinstance(model, classifiers.LinearModel) else classifiers.Algorithm.NB
+    kind = model.algorithm
     predicted = model.predict_all(evaluation.vectors_for(kind, vec, ds.documents))
     try:
         metrics = evaluation.compute_metrics(predicted, ds.labels)
@@ -537,8 +523,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file (flags take precedence)")
     p.add_argument("--seed", type=int, default=None, help="global seed (default 0)")
     p.add_argument("--output-dir", default=None, help="artifact directory (default .)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallelism cap; current pipelines run sequentially")
 
 
 def _add_platform(p: argparse.ArgumentParser) -> None:

@@ -33,7 +33,7 @@ from .corpus import (
     load_dataset,
 )
 from .seeding import derive_seed
-from .vectorizer import TfidfModel, fit_tfidf, model_fingerprint
+from .vectorizer import CsrBatch, TfidfModel, fit_tfidf, model_fingerprint
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -192,7 +192,7 @@ def summary_to_dict(s: MetricSummary) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def vectors_for(kind: Algorithm, model: TfidfModel, documents) -> list:
+def vectors_for(kind: Algorithm, model: TfidfModel, documents) -> CsrBatch:
     """NB consumes raw counts; the linear models consume tf-idf vectors."""
     if kind is Algorithm.NB:
         return model.transform_counts_all(documents)

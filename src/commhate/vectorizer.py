@@ -1,4 +1,4 @@
-"""Sparse bag-of-words vectors and a from-scratch tf-idf model.
+"""Sparse bag-of-words batches and a from-scratch tf-idf model.
 
 Weighting is raw term count times a smoothed inverse document frequency,
 
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -22,68 +21,52 @@ import numpy as np
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class SparseVector:
-    """Immutable sparse vector: strictly increasing indices, positive values.
+@dataclass(frozen=True, eq=False)
+class CsrBatch:
+    """Rows of sparse vectors in compressed sparse row form: row r holds
+    ``indices[indptr[r]:indptr[r+1]]`` with values ``data[...]`` over ``dim``
+    coordinates. Indices are strictly increasing within a row and zeros are
+    represented by absence, so stored values must be > 0; both the count and
+    the tf-idf representations satisfy that by construction."""
 
-    Zeros are represented by absence, so stored values must be > 0; both the
-    count and the tf-idf representations satisfy that by construction.
-    """
-
-    indices: tuple[int, ...]
-    values: tuple[float, ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     dim: int
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if len(self.indices) != len(self.values):
-            raise ValueError("indices and values must have equal length")
-        prev = -1
-        for i in self.indices:
-            if i <= prev:
-                raise ValueError("indices must be strictly increasing")
-            prev = i
-        if self.indices and (self.indices[0] < 0 or self.indices[-1] >= self.dim):
+        indptr = np.asarray(self.indptr, dtype=np.intp)
+        indices = np.asarray(self.indices, dtype=np.intp)
+        data = np.asarray(self.data, dtype=float)
+        for name, arr in (("indptr", indptr), ("indices", indices), ("data", data)):
+            object.__setattr__(self, name, arr)
+        if indices.size != data.size:
+            raise ValueError("indices and data must have equal length")
+        starts = indptr[:-1]
+        if indptr.size == 0 or indptr[0] != 0 or indptr[-1] != indices.size or np.any(
+                np.diff(indptr) < 0):
+            raise ValueError("indptr must rise from 0 to the number of stored values")
+        row_start = np.zeros(indices.size, dtype=bool)
+        row_start[starts[starts < indices.size]] = True
+        if np.any((np.diff(indices) <= 0) & ~row_start[1:]):
+            raise ValueError("indices must be strictly increasing within each row")
+        if indices.size and (indices.min() < 0 or indices.max() >= self.dim):
             raise ValueError(f"index out of range for dim={self.dim}")
-        for v in self.values:
-            if not math.isfinite(v) or v <= 0.0:
-                raise ValueError("values must be positive and finite")
+        if not np.all(np.isfinite(data) & (data > 0.0)):
+            raise ValueError("values must be positive and finite")
 
-    @property
-    def nnz(self) -> int:
-        return len(self.indices)
+    def __len__(self) -> int:
+        return self.indptr.size - 1
 
-    def norm(self) -> float:
-        return math.sqrt(sum(v * v for v in self.values))
-
-    def dot(self, other: "SparseVector") -> float:
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        total, i, j = 0.0, 0, 0
-        while i < len(self.indices) and j < len(other.indices):
-            a, b = self.indices[i], other.indices[j]
-            if a == b:
-                total += self.values[i] * other.values[j]
-                i += 1
-                j += 1
-            elif a < b:
-                i += 1
-            else:
-                j += 1
-        return total
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.dim)
-        if self.indices:
-            dense[list(self.indices)] = self.values
-        return dense
+    def row_ids(self) -> np.ndarray:
+        """The row of every stored value."""
+        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
 
 
 @dataclass(frozen=True)
 class TfidfModel:
     """Fitted vocabulary with document frequencies. Fit once on training
-    text only; apply to held-out text via transform."""
+    text only; apply to held-out text via transform_all."""
 
     vocabulary: tuple[str, ...]
     doc_freq: tuple[int, ...]
@@ -100,52 +83,43 @@ class TfidfModel:
     def dim(self) -> int:
         return len(self.vocabulary)
 
-    def index_of(self, term: str) -> int | None:
-        lo, hi = 0, len(self.vocabulary)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.vocabulary[mid] < term:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(self.vocabulary) and self.vocabulary[lo] == term:
-            return lo
-        return None
-
     def idf(self) -> np.ndarray:
         df = np.asarray(self.doc_freq, dtype=float)
         return np.log((1.0 + self.n_docs) / (1.0 + df)) + 1.0
 
-    def _count_indices(self, tokens: Sequence[str]) -> tuple[list[int], list[int]]:
-        counts: dict[int, int] = {}
-        for tok in tokens:
-            idx = self.index_of(tok)
-            if idx is not None:
-                counts[idx] = counts.get(idx, 0) + 1
-        indices = sorted(counts)
-        return indices, [counts[i] for i in indices]
+    def transform_counts_all(self, documents: Iterable[Sequence[str]]) -> CsrBatch:
+        """Raw term counts over the fitted vocabulary (no idf, no norm), one
+        row per document. Out-of-vocabulary terms are ignored."""
+        return self._counts(documents)
 
-    def transform_counts(self, tokens: Sequence[str]) -> SparseVector:
-        """Raw term counts over the fitted vocabulary (no idf, no norm)."""
-        indices, counts = self._count_indices(tokens)
-        return SparseVector(tuple(indices), tuple(float(c) for c in counts), self.dim)
+    def _counts(self, documents: Iterable[Sequence[str]]) -> CsrBatch:
+        # Both transforms call this rather than each other, so a wrapper on
+        # either public method sees each batch exactly once.
+        lookup = {term: i for i, term in enumerate(self.vocabulary)}
+        ids: list[int] = []
+        lengths: list[int] = []
+        for doc in documents:
+            known = [lookup[t] for t in doc if t in lookup]
+            ids.extend(known)
+            lengths.append(len(known))
+        rows = np.repeat(np.arange(len(lengths)), lengths)
+        # One sorted key per (row, term) pair orders terms within each row.
+        keys, counts = np.unique(rows * self.dim + np.asarray(ids, dtype=np.intp),
+                                 return_counts=True)
+        row_of, indices = np.divmod(keys, max(self.dim, 1))
+        indptr = np.zeros(len(lengths) + 1, dtype=np.intp)
+        np.cumsum(np.bincount(row_of, minlength=len(lengths)), out=indptr[1:])
+        return CsrBatch(indptr, indices, counts.astype(float), self.dim)
 
-    def transform(self, tokens: Sequence[str]) -> SparseVector:
-        """L2-normalized tf-idf vector. Documents whose terms are all out of
-        vocabulary map to the zero vector rather than raising."""
-        indices, counts = self._count_indices(tokens)
-        if not indices:
-            return SparseVector((), (), self.dim)
-        idf = self.idf()
-        weights = [c * idf[i] for i, c in zip(indices, counts)]
-        scale = math.sqrt(sum(w * w for w in weights))
-        return SparseVector(tuple(indices), tuple(w / scale for w in weights), self.dim)
-
-    def transform_all(self, documents: Iterable[Sequence[str]]) -> list[SparseVector]:
-        return [self.transform(doc) for doc in documents]
-
-    def transform_counts_all(self, documents: Iterable[Sequence[str]]) -> list[SparseVector]:
-        return [self.transform_counts(doc) for doc in documents]
+    def transform_all(self, documents: Iterable[Sequence[str]]) -> CsrBatch:
+        """L2-normalized tf-idf rows. Documents whose terms are all out of
+        vocabulary map to the zero vector (an empty row) rather than raising."""
+        counts = self._counts(documents)
+        weights = counts.data * self.idf()[counts.indices]
+        rows = counts.row_ids()
+        # bincount sums each row left to right, as a scalar loop would.
+        norms = np.sqrt(np.bincount(rows, weights=weights * weights, minlength=len(counts)))
+        return CsrBatch(counts.indptr, counts.indices, weights / norms[rows], self.dim)
 
 
 def fit_tfidf(documents: Iterable[Sequence[str]], min_df: int = 2) -> TfidfModel:

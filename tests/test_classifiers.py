@@ -11,7 +11,6 @@ from commhate import classifiers
 from commhate.classifiers import (
     Algorithm,
     LinearModel,
-    NaiveBayesModel,
     TrainConfig,
     logistic_loss_and_grad,
     train,
@@ -19,7 +18,8 @@ from commhate.classifiers import (
     train_nb,
 )
 from commhate.corpus import NEGATIVE, POSITIVE
-from commhate.vectorizer import SparseVector, fit_tfidf
+from commhate.seeding import derive_seed
+from commhate.vectorizer import CsrBatch, fit_tfidf
 
 
 def _nb_reference(train_docs, labels, test_doc, vocab, alpha):
@@ -47,18 +47,14 @@ def _nb_reference(train_docs, labels, test_doc, vocab, alpha):
     return score
 
 
-def _counts(model, docs):
-    return [model.transform_counts(d) for d in docs]
-
-
 class TestNaiveBayes:
     def test_disjoint_vocab_example(self):
         docs = [["foo"], ["bar"]]
         labels = [POSITIVE, NEGATIVE]
         vec = fit_tfidf(docs, min_df=1)
-        model = train_nb(_counts(vec, docs), labels, TrainConfig(algorithm="nb"))
-        assert model.predict(vec.transform_counts(["foo"])) == POSITIVE
-        assert model.predict(vec.transform_counts(["bar"])) == NEGATIVE
+        model = train_nb(vec.transform_counts_all(docs), labels, TrainConfig(algorithm="nb"))
+        assert model.predict_all(vec.transform_counts_all([["foo"]])) == [POSITIVE]
+        assert model.predict_all(vec.transform_counts_all([["bar"]])) == [NEGATIVE]
 
     def test_matches_reference_on_random_corpora(self):
         rng = random.Random(11)
@@ -70,43 +66,34 @@ class TestNaiveBayes:
                 docs.append([rng.choice(vocab_pool) for _ in range(rng.randint(1, 6))])
                 labels.append(POSITIVE if i % 2 == 0 else NEGATIVE)
             vec = fit_tfidf(docs, min_df=1)
-            model = train_nb(_counts(vec, docs), labels, TrainConfig(algorithm="nb"))
+            model = train_nb(vec.transform_counts_all(docs), labels, TrainConfig(algorithm="nb"))
             test_doc = [rng.choice(vocab_pool) for _ in range(4)]
             expected = _nb_reference(docs, labels, test_doc, vec.vocabulary, 1.0)
-            got = model.score(vec.transform_counts(test_doc))
+            got = model.score_all(vec.transform_counts_all([test_doc]))[0]
             assert got == pytest.approx(expected, abs=1e-9)
-
-    def test_likelihood_rows_normalize(self):
-        docs = [["a", "b", "a"], ["c"], ["b", "c"], ["a"]]
-        labels = [POSITIVE, NEGATIVE, NEGATIVE, POSITIVE]
-        vec = fit_tfidf(docs, min_df=1)
-        model = train_nb(_counts(vec, docs), labels, TrainConfig(algorithm="nb"))
-        for row in (model.log_cond_pos, model.log_cond_neg):
-            assert sum(math.exp(x) for x in row) == pytest.approx(1.0, abs=1e-6)
-            assert all(math.isfinite(x) for x in row)
 
     def test_zero_vector_scores_log_prior_difference(self):
         docs = [["a"], ["a"], ["b"]]
         labels = [POSITIVE, POSITIVE, NEGATIVE]
         vec = fit_tfidf(docs, min_df=1)
-        model = train_nb(_counts(vec, docs), labels, TrainConfig(algorithm="nb"))
-        zero = SparseVector((), (), vec.dim)
-        assert model.score(zero) == pytest.approx(math.log(2 / 3) - math.log(1 / 3))
+        model = train_nb(vec.transform_counts_all(docs), labels, TrainConfig(algorithm="nb"))
+        zero = CsrBatch([0, 0], [], [], vec.dim)
+        assert model.score_all(zero)[0] == pytest.approx(math.log(2 / 3) - math.log(1 / 3))
 
     def test_single_class_error(self):
         vec = fit_tfidf([["a"], ["b"]], min_df=1)
         with pytest.raises(ValueError, match="both classes"):
-            train_nb(_counts(vec, [["a"], ["b"]]), [POSITIVE, POSITIVE],
+            train_nb(vec.transform_counts_all([["a"], ["b"]]), [POSITIVE, POSITIVE],
                      TrainConfig(algorithm="nb"))
 
     def test_dimension_mismatch_error(self):
         vec = fit_tfidf([["a"], ["b"]], min_df=1)
         model = train_nb(
-            _counts(vec, [["a"], ["b"]]), [POSITIVE, NEGATIVE],
+            vec.transform_counts_all([["a"], ["b"]]), [POSITIVE, NEGATIVE],
             TrainConfig(algorithm="nb"),
         )
         with pytest.raises(ValueError, match="dimension"):
-            model.score(SparseVector((0,), (1.0,), 99))
+            model.score_all(CsrBatch([0, 1], [0], [1.0], 99))
 
 
 def _separable(n=100, seed=0):
@@ -138,9 +125,9 @@ class TestLinearModels:
         cfg = TrainConfig(algorithm=algorithm, seed=7)
         a = train_linear(vectors, labels, cfg)
         b = train_linear(vectors, labels, cfg)
-        assert a.weights == b.weights and a.bias == b.bias
+        assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
         c = train_linear(vectors, labels, TrainConfig(algorithm=algorithm, seed=8))
-        assert a.weights != c.weights
+        assert not np.array_equal(a.weights, c.weights)
 
     def test_label_flip_negates_lr_scores(self):
         docs, labels = _separable(80)
@@ -150,9 +137,7 @@ class TestLinearModels:
         cfg = TrainConfig(algorithm="lr", seed=5)
         a = train_linear(vectors, labels, cfg)
         b = train_linear(vectors, flipped, cfg)
-        np.testing.assert_allclose(
-            np.asarray(a.weights), -np.asarray(b.weights), rtol=0, atol=1e-12
-        )
+        np.testing.assert_allclose(a.weights, -b.weights, rtol=0, atol=1e-12)
         assert a.bias == pytest.approx(-b.bias, abs=1e-12)
 
     def test_score_is_linear_in_input_scale(self):
@@ -161,10 +146,10 @@ class TestLinearModels:
         model = train_linear(
             vec.transform_all(docs), labels, TrainConfig(algorithm="lr", seed=1)
         )
-        v = vec.transform(docs[0])
-        scaled = SparseVector(v.indices, tuple(3.0 * x for x in v.values), v.dim)
-        lin = model.score(v) - model.bias
-        lin_scaled = model.score(scaled) - model.bias
+        v = vec.transform_all([docs[0]])
+        scaled = CsrBatch(v.indptr, v.indices, 3.0 * v.data, v.dim)
+        lin = model.score_all(v)[0] - model.bias
+        lin_scaled = model.score_all(scaled)[0] - model.bias
         assert lin_scaled == pytest.approx(3.0 * lin, rel=1e-9)
 
     def test_zero_vector_lr_scores_bias(self):
@@ -173,17 +158,36 @@ class TestLinearModels:
         model = train_linear(
             vec.transform_all(docs), labels, TrainConfig(algorithm="lr", seed=1)
         )
-        assert model.score(SparseVector((), (), vec.dim)) == model.bias
+        assert model.score_all(CsrBatch([0, 0], [], [], vec.dim))[0] == model.bias
 
     def test_zero_weight_model_scores_zero_and_ties_negative(self):
-        model = LinearModel(weights=(0.0, 0.0), bias=0.0, algorithm=Algorithm.LR)
-        v = SparseVector((0,), (2.5,), 2)
-        assert model.score(v) == 0.0
-        assert model.predict(v) == NEGATIVE
+        model = LinearModel(weights=np.zeros(2), bias=0.0, algorithm=Algorithm.LR)
+        v = CsrBatch([0, 1], [0], [2.5], 2)
+        assert model.score_all(v)[0] == 0.0
+        assert model.predict_all(v) == [NEGATIVE]
+
+    def test_score_all_equals_scalar_loop(self):
+        # The per-document loop, bias first then terms left to right, is the
+        # reference; the batch mat-vec must reproduce it bit for bit.
+        rng = random.Random(13)
+        dim = 50
+        model = LinearModel(weights=[rng.uniform(-3, 3) for _ in range(dim)],
+                            bias=rng.uniform(-1, 1), algorithm=Algorithm.LR)
+        rows = [sorted(rng.sample(range(dim), rng.randint(0, dim))) for _ in range(40)]
+        values = [[rng.uniform(0.01, 5.0) for _ in r] for r in rows]
+        batch = CsrBatch(np.cumsum([0] + [len(r) for r in rows]),
+                         [i for r in rows for i in r], [v for vs in values for v in vs], dim)
+        expected = []
+        for r, vs in zip(rows, values):
+            s = model.bias
+            for i, v in zip(r, vs):
+                s += v * float(model.weights[i])
+            expected.append(s)
+        assert model.score_all(batch).tolist() == expected
 
     def test_rejects_nb_algorithm(self):
         with pytest.raises(ValueError, match="algorithm"):
-            train_linear([], [], TrainConfig(algorithm="nb"))
+            train_linear(CsrBatch([0], [], [], 0), [], TrainConfig(algorithm="nb"))
 
     def test_single_class_error(self):
         vec = fit_tfidf([["a"], ["b"]], min_df=1)
@@ -199,18 +203,17 @@ class TestLogisticGradient:
         rng = random.Random(seed)
         dim = rng.randint(1, 6)
         nnz = rng.randint(1, dim)
-        indices = tuple(sorted(rng.sample(range(dim), nnz)))
-        values = tuple(rng.uniform(0.1, 2.0) for _ in range(nnz))
-        vec = SparseVector(indices, values, dim)
+        indices = np.array(sorted(rng.sample(range(dim), nnz)))
+        values = np.array([rng.uniform(0.1, 2.0) for _ in range(nnz)])
         w = np.array([rng.uniform(-1, 1) for _ in range(dim)])
         b = rng.uniform(-1, 1)
         label = POSITIVE if rng.random() < 0.5 else NEGATIVE
         lam = 10 ** rng.uniform(-5, -1)
-        _, grad_w, grad_b = logistic_loss_and_grad(w, b, vec, label, lam)
+        _, grad_w, grad_b = logistic_loss_and_grad(w, b, indices, values, label, lam)
         h = 1e-6
 
         def loss_at(wv, bv):
-            return logistic_loss_and_grad(wv, bv, vec, label, lam)[0]
+            return logistic_loss_and_grad(wv, bv, indices, values, label, lam)[0]
 
         for j in range(dim):
             wp, wm = w.copy(), w.copy()
@@ -223,13 +226,36 @@ class TestLogisticGradient:
         assert abs(grad_b - fd_b) / max(1.0, abs(fd_b)) < 1e-5
 
     def test_loss_is_stable_for_large_margins(self):
-        v = SparseVector((0,), (1.0,), 1)
-        loss, _, _ = logistic_loss_and_grad(np.array([1000.0]), 0.0, v, POSITIVE, 0.0)
+        idx, val = np.array([0]), np.array([1.0])
+        loss, _, _ = logistic_loss_and_grad(np.array([1000.0]), 0.0, idx, val, POSITIVE, 0.0)
         assert 0.0 <= loss < 1e-300 or loss == 0.0
         loss_neg, _, _ = logistic_loss_and_grad(
-            np.array([1000.0]), 0.0, v, NEGATIVE, 0.0
+            np.array([1000.0]), 0.0, idx, val, NEGATIVE, 0.0
         )
         assert loss_neg == pytest.approx(1000.0, rel=1e-6)
+
+
+    def test_train_linear_takes_plain_gradient_steps(self):
+        # One LR epoch equals w <- w - eta_t * grad and b <- b - eta_t * grad_b
+        # from logistic_loss_and_grad, in the trainer's order with its eta_t.
+        docs, labels = _separable(12, seed=4)
+        vec = fit_tfidf(docs, min_df=1)
+        batch = vec.transform_all(docs)
+        cfg = TrainConfig(algorithm="lr", epochs=1, learning_rate=0.5, l2_lambda=0.05, seed=6)
+        model = train_linear(batch, labels, cfg)
+        order = list(range(len(labels)))
+        random.Random(derive_seed(cfg.seed, "sgd", "lr")).shuffle(order)
+        w, b = np.zeros(batch.dim), 0.0
+        for t, i in enumerate(order, start=1):
+            eta = cfg.learning_rate / (1.0 + cfg.learning_rate * cfg.l2_lambda * t)
+            lo, hi = batch.indptr[i], batch.indptr[i + 1]
+            _, grad_w, grad_b = logistic_loss_and_grad(
+                w, b, batch.indices[lo:hi], batch.data[lo:hi], labels[i], cfg.l2_lambda
+            )
+            w, b = w - eta * grad_w, b - eta * grad_b
+        assert np.abs(w).max() > 0.1  # the steps moved the weights
+        np.testing.assert_allclose(model.weights, w, rtol=0, atol=1e-12)
+        assert abs(model.bias - b) <= 1e-12
 
 
 class TestDispatchAndPersistence:
@@ -238,17 +264,18 @@ class TestDispatchAndPersistence:
         vec = fit_tfidf(docs, min_df=1)
         cfg = TrainConfig(algorithm=algorithm, seed=2)
         if cfg.algorithm is Algorithm.NB:
-            vectors = _counts(vec, docs)
+            vectors = vec.transform_counts_all(docs)
         else:
             vectors = vec.transform_all(docs)
         return vec, vectors, train(vectors, labels, cfg)
 
     @pytest.mark.parametrize("algorithm,cls", [
-        ("nb", NaiveBayesModel), ("lr", LinearModel), ("svm", LinearModel),
+        ("nb", LinearModel), ("lr", LinearModel), ("svm", LinearModel),
     ])
     def test_dispatch_types(self, algorithm, cls):
         _, _, model = self._fitted(algorithm)
         assert isinstance(model, cls)
+        assert model.algorithm is Algorithm(algorithm)
 
     @pytest.mark.parametrize("algorithm", ["nb", "lr", "svm"])
     def test_round_trip_preserves_predictions(self, algorithm, tmp_path):
@@ -258,8 +285,31 @@ class TestDispatchAndPersistence:
         loaded, vhash = classifiers.load_model(str(p))
         assert vhash == "abc123"
         assert loaded.predict_all(vectors) == model.predict_all(vectors)
-        for v in vectors[:5]:
-            assert loaded.score(v) == pytest.approx(model.score(v), rel=1e-12)
+        assert loaded.score_all(vectors).tolist() == pytest.approx(
+            model.score_all(vectors).tolist(), rel=1e-12
+        )
+
+    def test_schema_v1_nb_file_loads_as_linear_model(self, tmp_path):
+        rng = random.Random(21)
+        dim = 6
+        v1 = {
+            "version": 1, "algorithm": "nb", "vectorizer_hash": "abc123", "alpha": 1.0,
+            "log_prior": [math.log(0.4), math.log(0.6)],
+            "log_cond_pos": [math.log(rng.uniform(0.01, 1)) for _ in range(dim)],
+            "log_cond_neg": [math.log(rng.uniform(0.01, 1)) for _ in range(dim)],
+        }
+        p = tmp_path / "model.json"
+        p.write_text(json.dumps(v1), encoding="utf-8")
+        loaded, vhash = classifiers.load_model(str(p))
+        assert vhash == "abc123" and loaded.algorithm is Algorithm.NB
+        batch = CsrBatch([0, 0, 2, 5], [1, 4, 0, 2, 5], [2.0, 1.0, 3.0, 1.0, 4.0], dim)
+        for r in range(len(batch)):
+            # The v1 NaiveBayesModel.score formula.
+            expected = v1["log_prior"][0] - v1["log_prior"][1]
+            for i, v in zip(batch.indices[batch.indptr[r]:batch.indptr[r + 1]],
+                            batch.data[batch.indptr[r]:batch.indptr[r + 1]]):
+                expected += v * (v1["log_cond_pos"][i] - v1["log_cond_neg"][i])
+            assert abs(loaded.score_all(batch)[r] - expected) <= 1e-12
 
     def test_schema_version_enforced(self, tmp_path):
         p = tmp_path / "model.json"

@@ -79,6 +79,12 @@ class TestEntryPoints:
             _run(["synth", "--bogus"])
         assert exc.value.code == 1
 
+    def test_jobs_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _run(["synth", "--jobs", "2"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
     def test_missing_required_flag_exits_one(self):
         with pytest.raises(SystemExit) as exc:
             _run(["ingest"])
@@ -220,7 +226,7 @@ class TestSynthTrainEvaluate:
         ds_rows = (out_dir / "dataset.jsonl").read_text(encoding="utf-8").splitlines()
         assert len(ds_rows) == 80
         manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
-        assert manifest["schema_versions"]["model"] == 1
+        assert manifest["schema_versions"]["model"] == 2
         assert len(manifest["params"]["dataset_fingerprint"]) == 64
 
     def test_train_then_evaluate_round_trip(self, tmp_path, capsys):

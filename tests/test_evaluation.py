@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import random
 
 import pytest
@@ -154,10 +155,10 @@ def _toy_dataset(n_per_side=12, seed=0, flip=False):
 class TestTrainingPlumbing:
     def test_vectors_for_nb_gets_counts(self):
         vec = fit_tfidf([["a", "a", "b"], ["b", "c"]], min_df=1)
-        counts = vectors_for(Algorithm.NB, vec, [["a", "a", "b"]])[0]
-        assert 2.0 in counts.values  # raw occurrence counts, not tf-idf
-        tfidf = vectors_for(Algorithm.LR, vec, [["a", "a", "b"]])[0]
-        assert tfidf.norm() == pytest.approx(1.0)
+        counts = vectors_for(Algorithm.NB, vec, [["a", "a", "b"]])
+        assert 2.0 in counts.data  # raw occurrence counts, not tf-idf
+        tfidf = vectors_for(Algorithm.LR, vec, [["a", "a", "b"]])
+        assert math.sqrt(sum(v * v for v in tfidf.data)) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("kind", list(Algorithm))
     def test_separable_holdout_is_perfect(self, kind):

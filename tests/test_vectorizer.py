@@ -7,41 +7,78 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commhate import vectorizer
-from commhate.vectorizer import SparseVector, fit_tfidf
+from commhate.vectorizer import CsrBatch, fit_tfidf
 
 TOKENS = st.text(alphabet="abcdefg", min_size=1, max_size=4)
 DOCS = st.lists(st.lists(TOKENS, min_size=0, max_size=8), min_size=1, max_size=12)
+# Long rows over a large vocabulary, so that summing a row in another order
+# (pairwise rather than left to right) changes some norms in the last bit.
+LONG_DOCS = st.lists(
+    st.lists(st.text(alphabet="abcdefghij", min_size=1, max_size=3), max_size=60),
+    min_size=1, max_size=12,
+)
 
 
-class TestSparseVector:
+def _reference_rows(model, docs):
+    """The per-document algorithm, one row at a time: dict counts, then
+    count * idf, then division by the left-to-right L2 norm."""
+    index = {t: i for i, t in enumerate(model.vocabulary)}
+    idf = model.idf()
+    tfidf, counts = [], []
+    for doc in docs:
+        c = {}
+        for tok in doc:
+            if tok in index:
+                c[index[tok]] = c.get(index[tok], 0) + 1
+        indices = sorted(c)
+        weights = [c[i] * idf[i] for i in indices]
+        norm = math.sqrt(sum(w * w for w in weights))
+        tfidf.append((indices, [float(w / norm) for w in weights]))
+        counts.append((indices, [float(c[i]) for i in indices]))
+    return tfidf, counts
+
+
+def _rows(batch):
+    return [
+        (batch.indices[lo:hi].tolist(), batch.data[lo:hi].tolist())
+        for lo, hi in zip(batch.indptr[:-1], batch.indptr[1:])
+    ]
+
+
+def _first_row(batch):
+    return dict(zip(*_rows(batch)[0]))
+
+
+class TestCsrBatch:
     def test_validation(self):
-        SparseVector((0, 2), (1.0, 3.0), 5)
+        CsrBatch([0, 2], [0, 2], [1.0, 3.0], 5)
+        CsrBatch([0, 1, 1, 2], [3, 0], [1.0, 1.0], 5)  # indices restart per row
         with pytest.raises(ValueError, match="strictly increasing"):
-            SparseVector((2, 2), (1.0, 1.0), 5)
+            CsrBatch([0, 2], [2, 2], [1.0, 1.0], 5)
         with pytest.raises(ValueError, match="strictly increasing"):
-            SparseVector((3, 1), (1.0, 1.0), 5)
+            CsrBatch([0, 2], [3, 1], [1.0, 1.0], 5)
         with pytest.raises(ValueError, match="out of range"):
-            SparseVector((0, 7), (1.0, 1.0), 5)
+            CsrBatch([0, 2], [0, 7], [1.0, 1.0], 5)
+        with pytest.raises(ValueError, match="out of range"):
+            CsrBatch([0, 1], [-1], [1.0], 5)
         with pytest.raises(ValueError, match="positive"):
-            SparseVector((0,), (0.0,), 5)
+            CsrBatch([0, 1], [0], [0.0], 5)
         with pytest.raises(ValueError, match="positive"):
-            SparseVector((0,), (float("nan"),), 5)
+            CsrBatch([0, 1], [0], [float("nan")], 5)
+        with pytest.raises(ValueError, match="positive"):
+            CsrBatch([0, 1], [0], [float("inf")], 5)
         with pytest.raises(ValueError, match="equal length"):
-            SparseVector((0, 1), (1.0,), 5)
+            CsrBatch([0, 2], [0, 1], [1.0], 5)
+        with pytest.raises(ValueError, match="indptr"):
+            CsrBatch([0, 1], [0, 1], [1.0, 1.0], 5)
+        with pytest.raises(ValueError, match="indptr"):
+            CsrBatch([0, 2, 1, 2], [0, 1], [1.0, 1.0], 5)
 
-    def test_dot_matches_dense(self):
-        a = SparseVector((0, 2, 4), (1.0, 2.0, 3.0), 6)
-        b = SparseVector((1, 2, 4, 5), (5.0, 7.0, 11.0, 13.0), 6)
-        assert a.dot(b) == pytest.approx(np.dot(a.to_dense(), b.to_dense()))
-        assert a.dot(b) == b.dot(a)
-
-    def test_dot_dim_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            SparseVector((0,), (1.0,), 3).dot(SparseVector((0,), (1.0,), 4))
-
-    def test_norm(self):
-        assert SparseVector((0, 1), (3.0, 4.0), 2).norm() == 5.0
-        assert SparseVector((), (), 2).norm() == 0.0
+    def test_len_counts_rows(self):
+        assert len(CsrBatch([0], [], [], 3)) == 0
+        batch = CsrBatch([0, 0, 2], [0, 1], [1.0, 1.0], 3)
+        assert len(batch) == 2
+        assert batch.row_ids().tolist() == [1, 1]
 
 
 class TestFit:
@@ -64,7 +101,7 @@ class TestFit:
 
     def test_df_counts_presence_not_occurrences(self):
         model = fit_tfidf([["a", "a", "a"], ["b"]], min_df=1)
-        assert model.doc_freq[model.index_of("a")] == 1
+        assert model.doc_freq[model.vocabulary.index("a")] == 1
 
     def test_empty_collection_error(self):
         with pytest.raises(ValueError, match="empty"):
@@ -103,38 +140,46 @@ class TestTransform:
         idf_cat = math.log(3 / 2) + 1
         pre_cat, pre_dog = 2 * idf_cat, 1.0
         norm = math.hypot(pre_cat, pre_dog)
-        v = model.transform(["cat", "cat", "dog"])
-        got = dict(zip(v.indices, v.values))
-        assert got[model.index_of("cat")] == pytest.approx(pre_cat / norm, rel=1e-12)
-        assert got[model.index_of("dog")] == pytest.approx(pre_dog / norm, rel=1e-12)
+        got = _first_row(model.transform_all([["cat", "cat", "dog"]]))
+        cat, dog = model.vocabulary.index("cat"), model.vocabulary.index("dog")
+        assert got[cat] == pytest.approx(pre_cat / norm, rel=1e-12)
+        assert got[dog] == pytest.approx(pre_dog / norm, rel=1e-12)
         # loose sanity band around commonly quoted 4dp values; the exact
         # check above is the real oracle (0.9421556..., 0.3351806...)
-        assert got[model.index_of("cat")] == pytest.approx(0.9422, abs=2e-4)
-        assert got[model.index_of("dog")] == pytest.approx(0.3352, abs=2e-4)
+        assert got[cat] == pytest.approx(0.9422, abs=2e-4)
+        assert got[dog] == pytest.approx(0.3352, abs=2e-4)
 
     def test_oov_only_doc_is_zero_vector(self, model):
-        v = model.transform(["zebra"])
-        assert v.nnz == 0 and v.norm() == 0.0
+        batch = model.transform_all([["zebra"]])
+        assert len(batch) == 1 and batch.indices.size == 0 and batch.data.size == 0
 
     def test_empty_doc_is_zero_vector(self, model):
-        assert model.transform([]).nnz == 0
+        batch = model.transform_all([[]])
+        assert len(batch) == 1 and batch.indices.size == 0
 
     def test_counts_transform_raw(self, model):
-        v = model.transform_counts(["cat", "cat", "dog", "zebra"])
-        got = dict(zip(v.indices, v.values))
-        assert got == {model.index_of("cat"): 2.0, model.index_of("dog"): 1.0}
+        got = _first_row(model.transform_counts_all([["cat", "cat", "dog", "zebra"]]))
+        assert got == {model.vocabulary.index("cat"): 2.0, model.vocabulary.index("dog"): 1.0}
 
     @given(DOCS, st.lists(TOKENS, max_size=10))
     @settings(max_examples=50)
     def test_nonzero_transforms_have_unit_norm(self, docs, doc):
         model = fit_tfidf(docs, min_df=1)
-        v = model.transform(doc)
-        if v.nnz:
-            assert abs(v.norm() - 1.0) < 1e-9
+        values = model.transform_all([doc]).data
+        if values.size:
+            assert abs(math.sqrt(sum(v * v for v in values)) - 1.0) < 1e-9
+
+    @given(LONG_DOCS, LONG_DOCS, st.integers(1, 2))
+    @settings(max_examples=50, deadline=None)
+    def test_batch_rows_equal_per_document_reference(self, fit_docs, docs, min_df):
+        model = fit_tfidf(fit_docs, min_df=min_df)
+        tfidf, counts = _reference_rows(model, docs)
+        assert _rows(model.transform_all(docs)) == tfidf
+        assert _rows(model.transform_counts_all(docs)) == counts
 
     def test_transform_does_not_mutate_model(self, model):
         before = (model.vocabulary, model.doc_freq, model.n_docs)
-        model.transform(["cat", "new", "terms"])
+        model.transform_all([["cat", "new", "terms"]])
         assert (model.vocabulary, model.doc_freq, model.n_docs) == before
 
 
