@@ -254,20 +254,60 @@ def model_to_dict(model: LinearModel, vectorizer_hash: str = "") -> dict:
     }
 
 
+def _field(obj: dict, name: str):
+    if name not in obj:
+        raise ValueError(f"model field {name!r} is missing")
+    return obj[name]
+
+
+def _is_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        return False
+
+
+def _number(obj: dict, name: str) -> float:
+    value = _field(obj, name)
+    if not _is_number(value):
+        raise ValueError(f"model field {name!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _numbers(obj: dict, name: str) -> np.ndarray:
+    value = _field(obj, name)
+    if not isinstance(value, list) or not all(_is_number(v) for v in value):
+        raise ValueError(f"model field {name!r} must be a list of finite numbers")
+    return np.asarray(value, dtype=float)
+
+
 def model_from_dict(obj: dict) -> tuple[LinearModel, str]:
     """Returns (model, vectorizer_hash recorded at save time). Also loads
     schema-v1 files, whose NB models stored per-class log conditionals and
-    log priors; those fold into the same weights and bias."""
+    log priors; those fold into the same weights and bias. A missing or
+    ill-typed field raises ValueError naming it."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"model file must hold a JSON object, got {type(obj).__name__}")
     version = obj.get("version")
     if version not in (1, MODEL_SCHEMA_VERSION):
         raise ValueError(f"unsupported model schema version: {version!r}")
-    algorithm = Algorithm(obj["algorithm"])
+    algorithm = _field(obj, "algorithm")
+    try:
+        algorithm = Algorithm(algorithm)
+    except ValueError as exc:
+        raise ValueError(f"model field 'algorithm': {exc}") from None
     if version == 1 and algorithm is Algorithm.NB:
-        weights = np.asarray(obj["log_cond_pos"], dtype=float) - np.asarray(
-            obj["log_cond_neg"], dtype=float)
-        bias = float(obj["log_prior"][0]) - float(obj["log_prior"][1])
+        log_cond_pos, log_cond_neg = _numbers(obj, "log_cond_pos"), _numbers(obj, "log_cond_neg")
+        log_prior = _numbers(obj, "log_prior")
+        if log_cond_pos.size != log_cond_neg.size or log_prior.size != 2:
+            raise ValueError("model fields 'log_cond_pos', 'log_cond_neg' and "
+                             "'log_prior' have inconsistent lengths")
+        weights = log_cond_pos - log_cond_neg
+        bias = float(log_prior[0]) - float(log_prior[1])
     else:
-        weights, bias = obj["weights"], float(obj["bias"])
+        weights, bias = _numbers(obj, "weights"), _number(obj, "bias")
     model = LinearModel(weights=weights, bias=bias, algorithm=algorithm)
     return model, str(obj.get("vectorizer_hash", ""))
 
@@ -284,4 +324,7 @@ def load_model(path: str) -> tuple[LinearModel, str]:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-    return model_from_dict(obj)
+    try:
+        return model_from_dict(obj)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

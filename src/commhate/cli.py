@@ -404,6 +404,11 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
             f"model {args.model} was trained against a different vectorizer "
             f"(recorded {recorded_hash[:12]}, got {actual[:12]})"
         )
+    if model.dim != vec.dim:
+        raise DataError(
+            f"model {args.model} has {model.dim} weights but the vectorizer has "
+            f"{vec.dim} terms"
+        )
     ds, _ = _assemble_dataset(args, cfg, derive_seed(seed, "evaluate", "dataset"))
     kind = model.algorithm
     predicted = model.predict_all(evaluation.vectors_for(kind, vec, ds.documents))
@@ -640,7 +645,9 @@ def build_parser() -> _Parser:
     p.add_argument("--vocab-shared", dest="vocab_shared", type=int, default=50)
     p.add_argument("--doc-len-min", dest="doc_len_min", type=int, default=5)
     p.add_argument("--doc-len-max", dest="doc_len_max", type=int, default=15)
-    p.add_argument("--zipf", action="store_true")
+    p.add_argument("--zipf", action="store_true",
+                   help="draw terms within each block with P(rank r) proportional "
+                   "to 1/(r+1)")
     _add_common(p)
     p.set_defaults(func=cmd_synth)
 

@@ -12,6 +12,8 @@ Term names are purely alphabetic so they pass through preprocessing intact
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -60,19 +62,21 @@ class SynthSpec:
             raise ValueError("need 1 <= doc_len_min <= doc_len_max")
 
 
-def _pick(block: tuple[str, ...], rng: random.Random, zipf: bool) -> str:
+def _sampler(block: tuple[str, ...], zipf: bool):
+    """Return draw(rng) -> term from block, built once per block.
+
+    With zipf, P(rank r) is proportional to 1/(r+1): inverse-CDF by bisecting
+    the left-to-right cumulative weights. A draw at or past the last partial
+    sum takes the last term.
+    """
+    n = len(block)
     if not zipf:
-        return block[rng.randrange(len(block))]
-    # P(rank r) proportional to 1/(r+1); inverse-CDF over the cumulative sum.
-    weights = [1.0 / (r + 1) for r in range(len(block))]
-    total = sum(weights)
-    x = rng.random() * total
-    acc = 0.0
-    for term, w in zip(block, weights):
-        acc += w
-        if x < acc:
-            return term
-    return block[-1]
+        return lambda rng: block[rng.randrange(n)]
+    weights = [1.0 / (r + 1) for r in range(n)]
+    total = sum(weights)  # not cum[-1]: sum() is compensated on 3.12+
+    cum = list(itertools.accumulate(weights))
+    last = n - 1
+    return lambda rng: block[min(bisect.bisect_right(cum, rng.random() * total), last)]
 
 
 def generate(spec: SynthSpec) -> tuple[CorpusSlice, CorpusSlice, dict]:
@@ -84,21 +88,21 @@ def generate(spec: SynthSpec) -> tuple[CorpusSlice, CorpusSlice, dict]:
     pos_terms = _term_block("hat", spec.vocab_core)
     neg_terms = _term_block("sup", spec.vocab_core)
     shared_terms = _term_block("shr", spec.vocab_shared)
+    draw_shared = _sampler(shared_terms, spec.zipf)
     sides = []
     for side_name, community, core in (
         ("pos", POS_COMMUNITY, pos_terms),
         ("neg", NEG_COMMUNITY, neg_terms),
     ):
         rng = random.Random(derive_seed(spec.seed, "synthgen", side_name))
+        draw_core = _sampler(core, spec.zipf)
         comments = []
         for i in range(spec.n_docs):
             length = rng.randint(spec.doc_len_min, spec.doc_len_max)
             tokens = []
             for _ in range(length):
-                if rng.random() < spec.overlap_weight:
-                    tokens.append(_pick(shared_terms, rng, spec.zipf))
-                else:
-                    tokens.append(_pick(core, rng, spec.zipf))
+                draw = draw_shared if rng.random() < spec.overlap_weight else draw_core
+                tokens.append(draw(rng))
             comments.append(
                 Comment(
                     id=f"{side_name}{i:06d}",

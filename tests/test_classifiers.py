@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -310,6 +311,37 @@ class TestDispatchAndPersistence:
                             batch.data[batch.indptr[r]:batch.indptr[r + 1]]):
                 expected += v * (v1["log_cond_pos"][i] - v1["log_cond_neg"][i])
             assert abs(loaded.score_all(batch)[r] - expected) <= 1e-12
+
+    @pytest.mark.parametrize("obj,field", [
+        ({"version": 2, "algorithm": "lr", "bias": 0.0}, "weights"),
+        ({"version": 2, "algorithm": "lr", "weights": [1.0]}, "bias"),
+        ({"version": 2, "weights": [1.0], "bias": 0.0}, "algorithm"),
+        ({"version": 2, "algorithm": "knn", "weights": [1.0], "bias": 0.0}, "algorithm"),
+        ({"version": 2, "algorithm": "lr", "weights": 1.0, "bias": 0.0}, "weights"),
+        ({"version": 2, "algorithm": "lr", "weights": [1.0, None], "bias": 0.0}, "weights"),
+        ({"version": 2, "algorithm": "lr", "weights": [True], "bias": 0.0}, "weights"),
+        ({"version": 2, "algorithm": "lr", "weights": [[1.0]], "bias": 0.0}, "weights"),
+        ({"version": 2, "algorithm": "lr", "weights": [float("nan")], "bias": 0.0}, "weights"),
+        ({"version": 2, "algorithm": "lr", "weights": [10**400], "bias": 0.0}, "weights"),
+        ({"version": 2, "algorithm": "lr", "weights": [1.0], "bias": [0.0]}, "bias"),
+        ({"version": 2, "algorithm": "lr", "weights": [1.0], "bias": float("inf")}, "bias"),
+        ({"version": 1, "algorithm": "nb", "log_cond_pos": [0.0], "log_cond_neg": [0.0]},
+         "log_prior"),
+        ({"version": 1, "algorithm": "nb", "log_cond_pos": [0.0, 0.0], "log_cond_neg": [0.0],
+          "log_prior": [0.0, 0.0]}, "log_cond_pos"),
+        ({"version": 1, "algorithm": "nb", "log_cond_pos": [0.0], "log_cond_neg": [0.0],
+          "log_prior": [0.0]}, "log_prior"),
+    ])
+    def test_malformed_field_is_named(self, tmp_path, obj, field):
+        p = tmp_path / "model.json"
+        p.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: model fields? .*'{field}'"):
+            classifiers.load_model(str(p))
+
+    @pytest.mark.parametrize("obj", [[1, 2], "model", 3, None])
+    def test_non_object_file_is_rejected(self, obj):
+        with pytest.raises(ValueError, match="must hold a JSON object"):
+            classifiers.model_from_dict(obj)
 
     def test_schema_version_enforced(self, tmp_path):
         p = tmp_path / "model.json"

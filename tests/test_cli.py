@@ -266,6 +266,36 @@ class TestSynthTrainEvaluate:
         assert code == 2
         assert "different vectorizer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model,message", [
+        ({"version": 2, "algorithm": "lr"}, "model field 'weights' is missing"),
+        ([1, 2], "model file must hold a JSON object, got list"),
+        ({"version": 2, "algorithm": "lr", "weights": ["1"], "bias": 0},
+         "model field 'weights' must be a list of finite numbers"),
+        ({"version": 2, "algorithm": "lr", "weights": [1.0], "bias": "0"},
+         "model field 'bias' must be a finite number"),
+        ({"version": 2, "algorithm": "lr", "weights": [1.0], "bias": 0},
+         "has 1 weights but the vectorizer has 10 terms"),
+    ], ids=["missing-field", "not-an-object", "non-numeric-weights",
+            "non-numeric-bias", "wrong-dimension"])
+    def test_evaluate_malformed_model_is_data_error(self, tmp_path, capsys, model, message):
+        synth_dir, train_dir = tmp_path / "synth", tmp_path / "model"
+        assert self._synth(synth_dir) == 0
+        assert _run(["train", "--dataset", str(synth_dir / "dataset.jsonl"),
+                     "--min-df", "1", "--output-dir", str(train_dir)]) == 0
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(model), encoding="utf-8")
+        capsys.readouterr()
+        eval_dir = tmp_path / "eval"
+        code = _run(["evaluate", "--model", str(bad),
+                     "--vectorizer", str(train_dir / "vectorizer.json"),
+                     "--dataset", str(synth_dir / "dataset.jsonl"),
+                     "--output-dir", str(eval_dir)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("commhate: data error: ") and message in err
+        assert len(err.splitlines()) == 1
+        assert not eval_dir.exists()
+
     def test_train_without_source_exits_one(self, tmp_path, capsys):
         code = _run(["train", "--output-dir", str(tmp_path)])
         assert code == 1

@@ -1,13 +1,19 @@
+import hashlib
+import itertools
 import json
+import random
 from collections import Counter
 
 import pytest
 
+from commhate import cli
 from commhate.corpus import SourceLabel
+from commhate.seeding import derive_seed
 from commhate.synthgen import (
     NEG_COMMUNITY,
     POS_COMMUNITY,
     SynthSpec,
+    _sampler,
     generate,
     write_ground_truth,
 )
@@ -114,6 +120,111 @@ class TestGenerate:
         cfg = PreprocessConfig(stopwords=builtin_stopwords())
         for c in pos.comments:
             assert preprocess(c.body, cfg) == c.body.split()
+
+
+def _oracle_pick(block, rng, zipf):
+    """The original O(block) draw: rebuild the 1/(r+1) weights, then take the
+    first term whose running sum exceeds x, else the last term."""
+    if not zipf:
+        return block[rng.randrange(len(block))]
+    weights = [1.0 / (r + 1) for r in range(len(block))]
+    total = sum(weights)
+    x = rng.random() * total
+    acc = 0.0
+    for term, w in zip(block, weights):
+        acc += w
+        if x < acc:
+            return term
+    return block[-1]
+
+
+def _oracle_bodies(spec, gt):
+    """Comment bodies as the original generate loop drew them."""
+    shared = tuple(gt["shared_terms"])
+    sides = []
+    for side_name, core in (("pos", tuple(gt["positive_terms"])),
+                            ("neg", tuple(gt["negative_terms"]))):
+        rng = random.Random(derive_seed(spec.seed, "synthgen", side_name))
+        bodies = []
+        for _ in range(spec.n_docs):
+            length = rng.randint(spec.doc_len_min, spec.doc_len_max)
+            tokens = []
+            for _ in range(length):
+                if rng.random() < spec.overlap_weight:
+                    tokens.append(_oracle_pick(shared, rng, spec.zipf))
+                else:
+                    tokens.append(_oracle_pick(core, rng, spec.zipf))
+            bodies.append(" ".join(tokens))
+        sides.append(bodies)
+    return sides
+
+
+class _FixedRandom:
+    """Stands in for random.Random: random() replays the given values."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self):
+        return next(self._values)
+
+
+class TestSamplerMatchesOracle:
+    @pytest.mark.parametrize("block_size", [1, 2, 26, 27, 500, 2000])
+    @pytest.mark.parametrize("overlap", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_zipf_bodies_equal_original_draws(self, block_size, overlap, seed):
+        spec = SynthSpec(n_docs=25, vocab_core=block_size, vocab_shared=block_size,
+                         overlap_weight=overlap, doc_len_min=1, doc_len_max=20,
+                         seed=seed, zipf=True)
+        pos, neg, gt = generate(spec)
+        assert [[c.body for c in pos.comments],
+                [c.body for c in neg.comments]] == _oracle_bodies(spec, gt)
+
+    @pytest.mark.parametrize("block_size", [1, 27, 500])
+    def test_uniform_bodies_equal_original_draws(self, block_size):
+        spec = SynthSpec(n_docs=25, vocab_core=block_size, vocab_shared=3,
+                         overlap_weight=0.3, doc_len_min=1, doc_len_max=20, seed=3)
+        pos, neg, gt = generate(spec)
+        assert [[c.body for c in pos.comments],
+                [c.body for c in neg.comments]] == _oracle_bodies(spec, gt)
+
+    @pytest.mark.parametrize("block_size", [1, 2, 27, 500])
+    def test_draws_on_partial_sum_boundaries(self, block_size):
+        # u chosen so that x = u * total lands on (or next to) each partial
+        # sum, plus the ends of [0, 1] and past it, where the old loop fell
+        # through to the last term.
+        block = tuple(f"t{i}" for i in range(block_size))
+        weights = [1.0 / (r + 1) for r in range(block_size)]
+        total = sum(weights)
+        us = [0.0, 5e-324, 1.0 - 2**-53, 1.0, 1.5]
+        for acc in itertools.accumulate(weights):
+            u = acc / total
+            us += [u, max(u - 2**-53, 0.0), u + 2**-53]
+        draw = _sampler(block, zipf=True)
+        got = [draw(_FixedRandom([u])) for u in us]
+        assert got == [_oracle_pick(block, _FixedRandom([u]), True) for u in us]
+
+
+class TestGoldenCorpus:
+    # Digests of `commhate synth` output before the sampler was rewritten;
+    # any change to the draws, their order or the writers changes them.
+    GOLDEN = {
+        "pos.jsonl": "e047aa3cffdbb5d3e888ee61258eec466e7ca19d356c599fe5cea26125a08e8d",
+        "neg.jsonl": "82ed2b89e4248bd7faacf47be204d73754fdc542e03e205fffba1913e9312b41",
+        "dataset.jsonl": "098cae728e898ad42e8cef3c55371c0f82a7badda4427c113d56edab4c1efb4c",
+        "ground_truth.json": "0dfc761586d7c6b5c608e8c8a8a4204ce7aa34660332cc2d2fbce683cb490e24",
+    }
+
+    def test_zipf_quickstart_corpus_is_byte_identical(self, tmp_path, capsys):
+        code = cli.main(["synth", "--n", "600", "--overlap", "0.3",
+                         "--vocab-core", "500", "--vocab-shared", "500",
+                         "--doc-len-min", "10", "--doc-len-max", "40", "--zipf",
+                         "--seed", "7", "--output-dir", str(tmp_path)])
+        assert code == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in self.GOLDEN}
+        assert digests == self.GOLDEN
 
 
 class TestGroundTruthFile:
