@@ -11,6 +11,8 @@ the nonzero coordinates of the current instance. The learning rate decays as
 
 which makes the accumulated shrink factor telescope to 1 / (1 + eta0*lambda*T)
 after T updates; the scale can never collapse to zero in finite time.
+Each step's dot product is summed left to right in Python floats, never by a
+BLAS kernel, so the weights do not depend on which kernel the CPU selects.
 
 Labels are the dataset's "positive"/"negative" strings; scores are signed,
 and a score of exactly zero predicts negative.
@@ -194,12 +196,22 @@ def train_linear(vectors: CsrBatch, labels: Sequence[str], config: TrainConfig) 
     y = _signs(labels)
     if len(vectors) != len(y):
         raise ValueError("vectors and labels must have equal length")
-    bounds = vectors.indptr.tolist()
-    indices, data = vectors.indices, vectors.data
+    # Plain Python lists: per step, numpy call overhead on a ~15-term row
+    # costs more than the arithmetic. Rows share one int object per
+    # coordinate, so the lists add little to peak memory.
+    bounds, indices, data = vectors.indptr.tolist(), vectors.indices, vectors.data
+    coords = list(range(vectors.dim))
+    rows = [([coords[j] for j in indices[lo:hi].tolist()], data[lo:hi].tolist())
+            for lo, hi in zip(bounds, bounds[1:])]
+    y = y.tolist()
+
+    def diverged(epoch: int) -> ValueError:
+        return ValueError(f"{config.algorithm.value} training diverged: non-finite "
+                          f"parameters after epoch {epoch + 1}")
 
     hinge = config.algorithm is Algorithm.SVM
     eta0, lam = config.learning_rate, config.l2_lambda
-    direction = np.zeros(vectors.dim)
+    direction = [0.0] * vectors.dim
     scale = 1.0
     bias = 0.0
     t = 0
@@ -210,9 +222,11 @@ def train_linear(vectors: CsrBatch, labels: Sequence[str], config: TrainConfig) 
         for i in order:
             t += 1
             eta = eta0 / (1.0 + eta0 * lam * t)
-            lo, hi = bounds[i], bounds[i + 1]
-            idx, vals = indices[lo:hi], data[lo:hi]
-            z = bias + scale * float(np.dot(direction[idx], vals)) if hi > lo else bias
+            ri, rv = rows[i]
+            dot = 0.0
+            for j, v in zip(ri, rv):
+                dot += direction[j] * v
+            z = bias + scale * dot
             sign = y[i]
             if hinge:
                 step = sign if sign * z < 1.0 else 0.0
@@ -220,15 +234,20 @@ def train_linear(vectors: CsrBatch, labels: Sequence[str], config: TrainConfig) 
                 step = sign * _stable_sigmoid_neg(sign * z)
             scale *= 1.0 - eta * lam
             if step != 0.0:
-                if hi > lo:
-                    direction[idx] += (eta * step / scale) * vals
+                if ri:
+                    if scale == 0.0:
+                        # Dividing by the underflowed scale makes the row's
+                        # coordinates non-finite, which the epoch check reports.
+                        raise diverged(epoch)
+                    c = eta * step / scale
+                    for j, v in zip(ri, rv):
+                        direction[j] += c * v
                 bias += eta * step
-        if not (math.isfinite(scale) and math.isfinite(bias) and np.isfinite(direction).all()):
-            raise ValueError(
-                f"{config.algorithm.value} training diverged: non-finite "
-                f"parameters after epoch {epoch + 1}"
-            )
-    return LinearModel(weights=scale * direction, bias=bias, algorithm=config.algorithm)
+        if not (math.isfinite(scale) and math.isfinite(bias)
+                and all(map(math.isfinite, direction))):
+            raise diverged(epoch)
+    return LinearModel(weights=scale * np.asarray(direction), bias=bias,
+                       algorithm=config.algorithm)
 
 
 # ---------------------------------------------------------------------------

@@ -135,7 +135,10 @@ def comment_from_record(obj: dict, platform: Platform) -> Comment:
     created = 0
     for key in _CREATED_KEYS:
         if obj.get(key) is not None:
-            created = int(obj[key])
+            try:
+                created = int(obj[key])
+            except OverflowError:  # 1e400 parses as inf
+                raise ValueError(f"record field {key!r} is out of range") from None
             break
     body = obj.get("body")
     if body is None:
@@ -150,10 +153,10 @@ def comment_from_record(obj: dict, platform: Platform) -> Comment:
     )
 
 
-def _open_text(path: str):
+def _open_bytes(path: str):
     if str(path).endswith(".gz"):
-        return gzip.open(path, "rt", encoding="utf-8")
-    return open(path, encoding="utf-8")
+        return gzip.open(path, "rb")
+    return open(path, "rb")
 
 
 def iter_jsonl(
@@ -168,15 +171,17 @@ def iter_jsonl(
     Lazy: a Table-1-scale dump can be filtered down to one community without
     ever materializing the rest. In lenient mode malformed lines are skipped
     (``on_skip`` is called with the 1-based line number); in strict mode they
-    raise with the line number.
+    raise with the line number. Lines are decoded one at a time, so a line
+    that is not valid UTF-8 is one malformed record, not the end of the file.
     """
-    with _open_text(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
+    with _open_bytes(path) as fh:
+        for lineno, raw in enumerate(fh, 1):
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 comment = comment_from_record(json.loads(line), platform)
-            except (json.JSONDecodeError, ValueError, TypeError) as exc:
+            except (ValueError, TypeError) as exc:
                 if strict:
                     raise ValueError(f"{path}:{lineno}: malformed record: {exc}") from exc
                 if on_skip is not None:

@@ -17,7 +17,6 @@ import csv
 import io
 import json
 import os
-import statistics
 import time
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -628,5 +627,15 @@ def median_precision_gap(
     runs = [community_vs_keyword_gap(seed=s, **kwargs) for s in seeds]
     return {
         "runs": runs,
-        "median_precision_gap": statistics.median(r["precision_gap"] for r in runs),
+        "median_precision_gap": _median([r["precision_gap"] for r in runs]),
     }
+
+
+def _median(values: Sequence[float]) -> float:
+    """statistics.median, without importing statistics (and with it decimal
+    and fractions) on every CLI start."""
+    data = sorted(values)
+    if not data:
+        raise ValueError("median of no values")
+    mid = len(data) // 2
+    return data[mid] if len(data) % 2 else (data[mid - 1] + data[mid]) / 2

@@ -163,15 +163,42 @@ def model_to_dict(model: TfidfModel) -> dict:
     }
 
 
+def _field(obj, name: str, where: str):
+    if not isinstance(obj, dict) or name not in obj:
+        raise ValueError(f"{where} {name!r} is missing")
+    return obj[name]
+
+
+def _count(obj, name: str, where: str = "vectorizer field") -> int:
+    value = _field(obj, name, where)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{where} {name!r} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def model_from_dict(obj: dict) -> TfidfModel:
+    """Inverse of model_to_dict. A missing or ill-typed field raises
+    ValueError naming it."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"vectorizer file must hold a JSON object, got {type(obj).__name__}")
     if obj.get("version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported vectorizer schema version: {obj.get('version')!r}")
-    terms = obj["terms"]
+    terms = _field(obj, "terms", "vectorizer field")
+    if not isinstance(terms, list):
+        raise ValueError("vectorizer field 'terms' must be a list")
+    vocabulary, doc_freq = [], []
+    for k, entry in enumerate(terms):
+        where = f"vectorizer terms[{k}] field"
+        term = _field(entry, "term", where)
+        if not isinstance(term, str):
+            raise ValueError(f"{where} 'term' must be a string, got {term!r}")
+        vocabulary.append(term)
+        doc_freq.append(_count(entry, "df", where))
     return TfidfModel(
-        vocabulary=tuple(str(e["term"]) for e in terms),
-        doc_freq=tuple(int(e["df"]) for e in terms),
-        n_docs=int(obj["n_docs"]),
-        min_df=int(obj["min_df"]),
+        vocabulary=tuple(vocabulary),
+        doc_freq=tuple(doc_freq),
+        n_docs=_count(obj, "n_docs"),
+        min_df=_count(obj, "min_df"),
     )
 
 
@@ -187,7 +214,10 @@ def load_tfidf(path: str) -> TfidfModel:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-    return model_from_dict(obj)
+    try:
+        return model_from_dict(obj)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def model_fingerprint(model: TfidfModel) -> str:

@@ -259,6 +259,70 @@ class TestLogisticGradient:
         assert abs(model.bias - b) <= 1e-12
 
 
+def _sgd_reference(batch, labels, cfg):
+    """The trainer's SGD written as one scalar loop over Python floats: the
+    same shuffle, eta_t and lazy L2 scale, with each row's dot product summed
+    left to right and no numpy in the step."""
+    indptr, indices, data = batch.indptr.tolist(), batch.indices.tolist(), batch.data.tolist()
+    eta0, lam = cfg.learning_rate, cfg.l2_lambda
+    direction, scale, bias, t = [0.0] * batch.dim, 1.0, 0.0, 0
+    order = list(range(len(labels)))
+    rng = random.Random(derive_seed(cfg.seed, "sgd", cfg.algorithm.value))
+    for _ in range(cfg.epochs):
+        rng.shuffle(order)
+        for i in order:
+            t += 1
+            eta = eta0 / (1.0 + eta0 * lam * t)
+            y = 1.0 if labels[i] == POSITIVE else -1.0
+            dot = 0.0
+            for k in range(indptr[i], indptr[i + 1]):
+                dot += direction[indices[k]] * data[k]
+            z = bias + scale * dot
+            m = y * z
+            if cfg.algorithm is Algorithm.SVM:
+                step = y if m < 1.0 else 0.0
+            else:  # y * sigma(-m), without overflow
+                e = math.exp(-abs(m))
+                step = y * (e / (1.0 + e) if m >= 0 else 1.0 / (1.0 + e))
+            scale *= 1.0 - eta * lam
+            if step != 0.0:
+                for k in range(indptr[i], indptr[i + 1]):
+                    direction[indices[k]] += (eta * step / scale) * data[k]
+                bias += eta * step
+    return [scale * d for d in direction], bias
+
+
+class TestSgdOracle:
+    @pytest.mark.parametrize("algorithm", ["lr", "svm"])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_weights_equal_scalar_reference(self, algorithm, seed):
+        rng = random.Random(seed)
+        vocab = [f"t{k}" for k in range(120)]
+        docs = [rng.sample(vocab, rng.randint(1, 30)) for _ in range(80)]
+        labels = [POSITIVE if rng.random() < 0.5 else NEGATIVE for _ in docs]
+        vec = fit_tfidf(docs, min_df=2)
+        docs.append(["never", "seen"])  # all out of vocabulary: an empty row
+        labels.append(POSITIVE)
+        batch = vec.transform_all(docs)
+        assert batch.indptr[-1] == batch.indptr[-2]
+        cfg = TrainConfig(algorithm=algorithm, epochs=5, learning_rate=0.3,
+                          l2_lambda=1e-3, seed=seed)
+        model = train_linear(batch, labels, cfg)
+        weights, bias = _sgd_reference(batch, labels, cfg)
+        assert model.weights.tolist() == weights
+        assert model.bias == bias
+
+    @pytest.mark.parametrize("algorithm", ["lr", "svm"])
+    def test_divergence_names_the_epoch(self, algorithm):
+        # eta0 * lambda = 1e20 shrinks the scale to exactly 0 on the first step.
+        docs, labels = _separable(20)
+        vec = fit_tfidf(docs, min_df=1)
+        cfg = TrainConfig(algorithm=algorithm, learning_rate=1e20, l2_lambda=1.0)
+        with pytest.raises(ValueError, match="training diverged: non-finite "
+                           "parameters after epoch 1$"):
+            train_linear(vec.transform_all(docs), labels, cfg)
+
+
 class TestDispatchAndPersistence:
     def _fitted(self, algorithm):
         docs, labels = _separable(40)

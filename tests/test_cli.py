@@ -70,6 +70,22 @@ class TestEntryPoints:
         assert out.returncode == 0
         assert out.stdout.strip() == "commhate 0.1.0"
 
+    def test_cli_import_leaves_statistics_unloaded(self):
+        # statistics pulls in decimal and fractions: memory and start-up time
+        # on every CLI pass for one median.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, commhate.cli; "
+             "print(sorted({'statistics', 'decimal', 'fractions'} & set(sys.modules)))"],
+            capture_output=True, text=True, env=env,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
+
     def test_no_subcommand_is_usage_error(self, capsys):
         assert _run([]) == 1
         assert "subcommand is required" in capsys.readouterr().err
@@ -138,6 +154,29 @@ class TestIngest:
     def test_missing_input_exits_two(self, tmp_path, capsys):
         code = _run(["ingest", "--input", str(tmp_path / "absent.jsonl")])
         assert code == 2
+
+    @pytest.mark.parametrize("bad", [
+        b"\xff\xfe\n",
+        b'{"id": "x", "body": "b", "subreddit": "alpha", "created_utc": 1e400}\n',
+    ], ids=["invalid-utf8", "inf-timestamp"])
+    def test_bad_line_is_skipped_or_named(self, tmp_path, capsys, bad):
+        rows = [json.dumps(r).encode() + b"\n"
+                for r in _reddit_rows("alpha", ["keep me", "me too"], "a")]
+        src = tmp_path / "dump.jsonl"
+        src.write_bytes(rows[0] + bad + rows[1])
+        out_dir = tmp_path / "out"
+        assert _run(["ingest", "--input", str(src), "--output-dir", str(out_dir)]) == 0
+        lines = (out_dir / "filtered.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(l)["id"] for l in lines] == ["a0", "a1"]
+        manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+        assert (manifest["params"]["skipped"], manifest["params"]["kept"]) == (1, 2)
+        capsys.readouterr()
+        code = _run(["ingest", "--input", str(src), "--strict",
+                     "--output-dir", str(tmp_path / "strict")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"commhate: data error: {src}:2: malformed record")
+        assert len(err.splitlines()) == 1
 
 
 class TestPreprocess:
@@ -293,6 +332,53 @@ class TestSynthTrainEvaluate:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("commhate: data error: ") and message in err
+        assert len(err.splitlines()) == 1
+        assert not eval_dir.exists()
+
+    def test_train_divergence_is_data_error(self, tmp_path, capsys):
+        synth_dir, train_dir = tmp_path / "synth", tmp_path / "model"
+        assert self._synth(synth_dir) == 0
+        capsys.readouterr()
+        code = _run(["train", "--dataset", str(synth_dir / "dataset.jsonl"),
+                     "--learning-rate", "1e20", "--l2-lambda", "1",
+                     "--output-dir", str(train_dir)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == ("commhate: data error: lr training diverged: non-finite "
+                       "parameters after epoch 1\n")
+        assert not (train_dir / "model.json").exists()
+
+    _VECTORIZER = {"version": 1, "n_docs": 80, "min_df": 1,
+                   "terms": [{"term": "a", "df": 1}]}
+
+    @pytest.mark.parametrize("vec,message", [
+        ([1], "vectorizer file must hold a JSON object, got list"),
+        ({"version": 1}, "vectorizer field 'terms' is missing"),
+        ({k: v for k, v in _VECTORIZER.items() if k != "n_docs"},
+         "vectorizer field 'n_docs' is missing"),
+        ({k: v for k, v in _VECTORIZER.items() if k != "min_df"},
+         "vectorizer field 'min_df' is missing"),
+        ({**_VECTORIZER, "terms": [{"df": 1}]}, "vectorizer terms[0] field 'term' is missing"),
+        ({**_VECTORIZER, "terms": [{"term": "a", "df": "1"}]},
+         "vectorizer terms[0] field 'df' must be a non-negative integer"),
+    ], ids=["not-an-object", "missing-terms", "missing-n_docs", "missing-min_df",
+            "term-without-term", "non-integer-df"])
+    def test_evaluate_malformed_vectorizer_is_data_error(self, tmp_path, capsys, vec, message):
+        synth_dir, train_dir = tmp_path / "synth", tmp_path / "model"
+        assert self._synth(synth_dir) == 0
+        assert _run(["train", "--dataset", str(synth_dir / "dataset.jsonl"),
+                     "--min-df", "1", "--output-dir", str(train_dir)]) == 0
+        bad = tmp_path / "bad_vectorizer.json"
+        bad.write_text(json.dumps(vec), encoding="utf-8")
+        capsys.readouterr()
+        eval_dir = tmp_path / "eval"
+        code = _run(["evaluate", "--model", str(train_dir / "model.json"),
+                     "--vectorizer", str(bad),
+                     "--dataset", str(synth_dir / "dataset.jsonl"),
+                     "--output-dir", str(eval_dir)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"commhate: data error: {bad}: ") and message in err
         assert len(err.splitlines()) == 1
         assert not eval_dir.exists()
 

@@ -66,6 +66,13 @@ class TestRecordMapping:
         with pytest.raises(ValueError, match="body"):
             corpus.comment_from_record({"id": "1", "subreddit": "x"}, Platform.REDDIT)
 
+    def test_infinite_timestamp_is_malformed(self):
+        with pytest.raises(ValueError, match="'created_utc' is out of range"):
+            corpus.comment_from_record(
+                {"id": "1", "body": "hi", "subreddit": "x", "created_utc": float("inf")},
+                Platform.REDDIT,
+            )
+
 
 class TestJsonlIO:
     def _write(self, path, lines):
@@ -150,6 +157,37 @@ class TestJsonlIO:
         ])
         it = corpus.iter_jsonl(str(p))
         assert next(it).id == "0"  # consumes one line, not the file
+
+    @pytest.mark.parametrize("name", ["c.jsonl", "c.jsonl.gz"])
+    @pytest.mark.parametrize("bad", [
+        b"\xff\xfe\n",
+        b'{"id": "2", "body": "\xe9t\xe9", "subreddit": "s"}\n',
+        b'{"id": "2", "body": "b", "subreddit": "s", "created_utc": 1e400}\n',
+        b'{"id": "2", "body": "b", "subreddit": "s", "created_utc": -1e400}\n',
+    ], ids=["bom-bytes", "latin-1-body", "inf-timestamp", "minus-inf-timestamp"])
+    def test_bad_line_is_one_malformed_record(self, tmp_path, name, bad):
+        # Invalid UTF-8 and a timestamp beyond int range each cost one line:
+        # lenient mode skips it and reads on, strict mode names path:line.
+        good = [json.dumps({"id": i, "body": "ok", "subreddit": "s"}).encode() + b"\n"
+                for i in ("1", "3")]
+        blob = good[0] + bad + good[1]
+        p = tmp_path / name
+        p.write_bytes(gzip.compress(blob) if name.endswith(".gz") else blob)
+        skipped_lines = []
+        kept = list(corpus.iter_jsonl(str(p), on_skip=skipped_lines.append))
+        assert [c.id for c in kept] == ["1", "3"]
+        assert skipped_lines == [2]
+        with pytest.raises(ValueError, match=rf"{name}:2: malformed record"):
+            list(corpus.iter_jsonl(str(p), strict=True))
+
+    def test_blank_and_crlf_lines(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        p.write_bytes(b'{"id": "1", "body": "a", "subreddit": "s"}\r\n'
+                      b"  \r\n\n"
+                      b'{"id": "2", "body": "b\xc3\xa9", "subreddit": "s"}\n')
+        sl, skipped = corpus.load_jsonl(str(p))
+        assert [(c.id, c.body) for c in sl.comments] == [("1", "a"), ("2", "b\u00e9")]
+        assert skipped == 0
 
 
 class TestSampling:

@@ -411,3 +411,19 @@ class TestClaimPipelines:
         assert len(out["runs"]) == 2
         gaps = sorted(r["precision_gap"] for r in out["runs"])
         assert out["median_precision_gap"] == pytest.approx(sum(gaps) / 2)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(FINITE, min_size=1, max_size=9))
+@settings(max_examples=200, deadline=None)
+def test_median_equals_statistics_median(values):
+    import statistics  # the oracle; the package itself does not import it
+
+    assert evaluation._median(values) == statistics.median(values)
+
+
+def test_median_of_nothing_raises():
+    with pytest.raises(ValueError):
+        evaluation._median([])

@@ -204,6 +204,40 @@ class TestPersistence:
         with pytest.raises(ValueError, match="vec.json"):
             vectorizer.load_tfidf(str(p))
 
+    _GOOD = {"version": 1, "n_docs": 3, "min_df": 1,
+             "terms": [{"term": "a", "df": 1}, {"term": "b", "df": 2}]}
+
+    @pytest.mark.parametrize("obj,message", [
+        ([1], "vectorizer file must hold a JSON object, got list"),
+        ("vec", "vectorizer file must hold a JSON object, got str"),
+        ({"version": 1}, "vectorizer field 'terms' is missing"),
+        ({**_GOOD, "terms": {"a": 1}}, "vectorizer field 'terms' must be a list"),
+        ({k: v for k, v in _GOOD.items() if k != "n_docs"}, "field 'n_docs' is missing"),
+        ({k: v for k, v in _GOOD.items() if k != "min_df"}, "field 'min_df' is missing"),
+        ({**_GOOD, "n_docs": "3"}, "field 'n_docs' must be a non-negative integer"),
+        ({**_GOOD, "min_df": True}, "field 'min_df' must be a non-negative integer"),
+        ({**_GOOD, "terms": [{"df": 1}]}, "terms[0] field 'term' is missing"),
+        ({**_GOOD, "terms": ["a"]}, "terms[0] field 'term' is missing"),
+        ({**_GOOD, "terms": [{"term": 7, "df": 1}]}, "terms[0] field 'term' must be a string"),
+        ({**_GOOD, "terms": [{"term": "a", "df": 1}, {"term": "b"}]},
+         "terms[1] field 'df' is missing"),
+        ({**_GOOD, "terms": [{"term": "a", "df": 1.5}]},
+         "terms[0] field 'df' must be a non-negative integer"),
+        ({**_GOOD, "terms": [{"term": "a", "df": -1}]},
+         "terms[0] field 'df' must be a non-negative integer"),
+    ])
+    def test_malformed_field_is_named(self, tmp_path, obj, message):
+        p = tmp_path / "vec.json"
+        p.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            vectorizer.load_tfidf(str(p))
+        assert str(exc.value).startswith(f"{p}: ") and message in str(exc.value)
+
+    def test_well_formed_dict_loads(self):
+        model = vectorizer.model_from_dict(self._GOOD)
+        assert model.vocabulary == ("a", "b") and model.doc_freq == (1, 2)
+        assert vectorizer.model_to_dict(model) == self._GOOD
+
     def test_fingerprint_tracks_content(self):
         a = fit_tfidf([["cat", "dog"], ["dog"]], min_df=1)
         b = fit_tfidf([["cat", "dog"], ["dog"]], min_df=1)
