@@ -35,7 +35,7 @@ class DataError(Exception):
 # ---------------------------------------------------------------------------
 
 _TRAIN_KEYS = {"l2_lambda", "epochs", "learning_rate", "nb_alpha"}
-_LLDA_KEYS = {"alpha", "beta", "iterations", "burn_in"}
+_LLDA_KEYS = {"beta"}
 _KEYWORD_KEYS = {"k", "min_df"}
 _TOP_KEYS = {
     "seed", "output_dir", "min_df", "stopwords_path",
@@ -70,12 +70,17 @@ def load_run_config(path: str) -> RunConfig:
         raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
     for section, allowed in (("train", _TRAIN_KEYS), ("llda", _LLDA_KEYS),
                              ("keywords", _KEYWORD_KEYS)):
-        bad = set(obj.get(section, {})) - allowed
+        value = obj.get(section, {})
+        if not isinstance(value, dict):
+            raise ValueError(f"{path}: {section!r} must be a JSON object")
+        bad = set(value) - allowed
         if bad:
             raise ValueError(f"{path}: unknown keys in {section!r}: {sorted(bad)}")
-    experiments = obj.get("experiments", ())
-    if experiments and not isinstance(experiments, list):
+    experiments = obj.get("experiments", [])
+    if not isinstance(experiments, list):
         raise ValueError(f"{path}: 'experiments' must be a list")
+    if not all(isinstance(e, dict) for e in experiments):
+        raise ValueError(f"{path}: each experiment must be a JSON object")
     return RunConfig(
         seed=obj.get("seed"),
         output_dir=obj.get("output_dir"),
@@ -190,14 +195,8 @@ def _train_config(args, cfg: RunConfig, algorithm: str, seed: int) -> classifier
 
 
 def _llda_config(args, cfg: RunConfig, seed: int) -> topics.LldaConfig:
-    l = cfg.llda
-    return topics.LldaConfig(
-        alpha=float(_pick(getattr(args, "alpha", None), l.get("alpha"), 0.5)),
-        beta=float(_pick(getattr(args, "beta", None), l.get("beta"), 0.1)),
-        iterations=int(_pick(getattr(args, "iterations", None), l.get("iterations"), 1000)),
-        burn_in=int(_pick(getattr(args, "burn_in", None), l.get("burn_in"), 200)),
-        seed=seed,
-    )
+    beta = _pick(getattr(args, "beta", None), cfg.llda.get("beta"), 0.1)
+    return topics.LldaConfig(beta=float(beta), seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +287,7 @@ def cmd_topics(args, cfg: RunConfig) -> int:
     _write_manifest(
         out_dir, "topics",
         {"k": args.k, "ranking": args.ranking, "seed": seed,
-         "llda": {"alpha": llda_cfg.alpha, "beta": llda_cfg.beta,
-                  "iterations": llda_cfg.iterations, "burn_in": llda_cfg.burn_in}},
+         "llda": {"beta": llda_cfg.beta}},
         {"pos": args.pos, "neg": args.neg}, [json_path, txt_path],
     )
     print(table, end="")
@@ -549,10 +547,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_llda_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--burn-in", dest="burn_in", type=int, default=None)
 
 
 def _add_dataset_source(p: argparse.ArgumentParser) -> None:

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator
 
+from . import textprep
+
 POSITIVE = "positive"
 NEGATIVE = "negative"
 
@@ -173,22 +175,34 @@ def iter_jsonl(
     (``on_skip`` is called with the 1-based line number); in strict mode they
     raise with the line number. Lines are decoded one at a time, so a line
     that is not valid UTF-8 is one malformed record, not the end of the file.
+    A truncated .gz ends the stream: every complete line before the cut is
+    kept and the cut counts as one malformed record (strict mode raises,
+    naming the last complete line).
     """
     with _open_bytes(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            try:
-                line = raw.decode("utf-8")
-                if not line.strip():
+        lineno = 0
+        try:
+            for lineno, raw in enumerate(fh, 1):
+                try:
+                    line = raw.decode("utf-8")
+                    if not line.strip():
+                        continue
+                    comment = comment_from_record(json.loads(line), platform)
+                except (ValueError, TypeError) as exc:
+                    if strict:
+                        raise ValueError(f"{path}:{lineno}: malformed record: {exc}") from exc
+                    if on_skip is not None:
+                        on_skip(lineno)
                     continue
-                comment = comment_from_record(json.loads(line), platform)
-            except (ValueError, TypeError) as exc:
-                if strict:
-                    raise ValueError(f"{path}:{lineno}: malformed record: {exc}") from exc
-                if on_skip is not None:
-                    on_skip(lineno)
-                continue
-            if community_filter is None or comment.community in community_filter:
-                yield comment
+                if community_filter is None or comment.community in community_filter:
+                    yield comment
+        except EOFError as exc:  # gzip stream stops short of its end marker
+            if strict:
+                raise ValueError(
+                    f"{path}: compressed stream truncated after line {lineno}: {exc}"
+                ) from exc
+            if on_skip is not None:
+                on_skip(lineno + 1)
 
 
 def load_jsonl(
@@ -251,24 +265,6 @@ def sample_without_replacement(items: list, n: int, rng: random.Random) -> list:
     return [items[i] for i in idx[:n]]
 
 
-def sample_background(
-    slice_: CorpusSlice,
-    n: int,
-    exclude_communities: set[str] | frozenset[str] = frozenset(),
-    seed: int = 0,
-) -> CorpusSlice:
-    """Sample n comments uniformly, never drawing from excluded communities."""
-    pool = [c for c in slice_.comments if c.community not in exclude_communities]
-    if len(pool) < n:
-        raise ValueError(
-            f"requested {n} comments but only {len(pool)} available "
-            f"after excluding {sorted(exclude_communities)}"
-        )
-    rng = random.Random(seed)
-    chosen = sample_without_replacement(pool, n, rng)
-    return CorpusSlice(tuple(chosen), slice_.source_label, slice_.target_group)
-
-
 # ---------------------------------------------------------------------------
 # Dataset assembly
 # ---------------------------------------------------------------------------
@@ -277,8 +273,6 @@ def sample_background(
 def _tokenized(slice_: CorpusSlice, config) -> tuple[list, int]:
     """Preprocess a slice into (comment, tokens) pairs, dropping deleted and
     empty-token documents. Returns the kept pairs and the drop tally."""
-    from . import textprep  # local import to avoid a cycle at module load
-
     cfg = config or textprep.default_config()
     kept, dropped = [], 0
     for c in slice_.comments:
@@ -291,6 +285,17 @@ def _tokenized(slice_: CorpusSlice, config) -> tuple[list, int]:
             continue
         kept.append((c, tokens))
     return kept, dropped
+
+
+def dataset_from_pairs(positive: list, negative: list, seed: int) -> LabeledDataset:
+    """A dataset of (comment, tokens) pairs: the positives, then the negatives."""
+    pairs = positive + negative
+    return LabeledDataset(
+        tuple(tokens for _, tokens in pairs),
+        (POSITIVE,) * len(positive) + (NEGATIVE,) * len(negative),
+        tuple((c.id, c.community) for c, _ in pairs),
+        seed,
+    )
 
 
 def build_balanced(
@@ -312,57 +317,15 @@ def build_balanced(
     rng = random.Random(seed)
     pos_sel = pos if len(pos) == m else sample_without_replacement(pos, m, rng)
     neg_sel = neg if len(neg) == m else sample_without_replacement(neg, m, rng)
-    documents, labels, provenance = [], [], []
-    for side, label in ((pos_sel, POSITIVE), (neg_sel, NEGATIVE)):
-        for comment, tokens in side:
-            documents.append(tuple(tokens))
-            labels.append(label)
-            provenance.append((comment.id, comment.community))
-    return (
-        LabeledDataset(tuple(documents), tuple(labels), tuple(provenance), seed),
-        dropped_p + dropped_n,
-    )
-
-
-def build_imbalanced_testset(
-    positive: CorpusSlice,
-    negative: CorpusSlice,
-    ratio: int,
-    seed: int = 0,
-    config=None,
-) -> tuple[LabeledDataset, int]:
-    """Build a 1:ratio positive:negative test set (all positives kept)."""
-    if ratio < 1:
-        raise ValueError("ratio must be >= 1")
-    pos, dropped_p = _tokenized(positive, config)
-    neg, dropped_n = _tokenized(negative, config)
-    if not pos:
-        raise ValueError("positive slice empty after preprocessing")
-    required = ratio * len(pos)
-    if len(neg) < required:
-        raise ValueError(
-            f"1:{ratio} ratio needs {required} negatives for {len(pos)} positives, "
-            f"only {len(neg)} available"
-        )
-    rng = random.Random(seed)
-    neg_sel = sample_without_replacement(neg, required, rng)
-    documents, labels, provenance = [], [], []
-    for side, label in ((pos, POSITIVE), (neg_sel, NEGATIVE)):
-        for comment, tokens in side:
-            documents.append(tuple(tokens))
-            labels.append(label)
-            provenance.append((comment.id, comment.community))
-    return (
-        LabeledDataset(tuple(documents), tuple(labels), tuple(provenance), seed),
-        dropped_p + dropped_n,
-    )
+    return dataset_from_pairs(pos_sel, neg_sel, seed), dropped_p + dropped_n
 
 
 def imbalanced_subset(dataset: LabeledDataset, ratio: int, seed: int = 0) -> LabeledDataset:
-    """Resample an existing dataset to a 1:ratio class balance.
+    """Resample a dataset to a 1:ratio positive:negative test set.
 
-    Same contract as build_imbalanced_testset but at the dataset level; used
-    to derive the imbalance grid from one held-out test set.
+    Every positive is kept and ratio negatives per positive are drawn
+    without replacement; used to derive the imbalance grid from one
+    held-out test set.
     """
     if ratio < 1:
         raise ValueError("ratio must be >= 1")
@@ -377,19 +340,6 @@ def imbalanced_subset(dataset: LabeledDataset, ratio: int, seed: int = 0) -> Lab
     rng = random.Random(seed)
     neg_sel = sample_without_replacement(neg_idx, required, rng)
     return dataset.subset(pos_idx + neg_sel)
-
-
-def shuffle_labels(dataset: LabeledDataset, seed: int = 0) -> LabeledDataset:
-    """Permute labels relative to documents; destroys any real signal while
-    preserving both marginals. Used for chance-level checks."""
-    idx = list(range(len(dataset)))
-    random.Random(seed).shuffle(idx)
-    return LabeledDataset(
-        dataset.documents,
-        tuple(dataset.labels[i] for i in idx),
-        dataset.provenance,
-        dataset.seed,
-    )
 
 
 def kfold_split(

@@ -136,16 +136,25 @@ def compute_metrics(predicted: Sequence[str], expected: Sequence[str]) -> EvalMe
     return metrics_from_counts(tally_counts(predicted, expected))
 
 
+def _left_sum(values) -> float:
+    """Plain left-to-right float sum. The builtin sum() is compensated from
+    Python 3.12, which would make report bytes depend on the version."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def mean_of(per_fold: Sequence[EvalMetrics]) -> MetricSummary:
     k = len(per_fold)
     if k == 0:
         raise ValueError("no fold metrics to average")
     return MetricSummary(
-        accuracy=sum(m.accuracy for m in per_fold) / k,
-        precision=sum(m.precision for m in per_fold) / k,
-        recall=sum(m.recall for m in per_fold) / k,
-        f1=sum(m.f1 for m in per_fold) / k,
-        kappa=sum(m.kappa for m in per_fold) / k,
+        accuracy=_left_sum(m.accuracy for m in per_fold) / k,
+        precision=_left_sum(m.precision for m in per_fold) / k,
+        recall=_left_sum(m.recall for m in per_fold) / k,
+        f1=_left_sum(m.f1 for m in per_fold) / k,
+        kappa=_left_sum(m.kappa for m in per_fold) / k,
     )
 
 

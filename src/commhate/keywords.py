@@ -24,7 +24,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .corpus import NEGATIVE, POSITIVE, CorpusSlice, LabeledDataset
+from .corpus import (
+    CorpusSlice,
+    LabeledDataset,
+    _tokenized,
+    dataset_from_pairs,
+    sample_without_replacement,
+)
 from .topics import LldaConfig, fit_two_sides, term_scores, top_terms
 
 KEYWORD_SCHEMA_VERSION = 1
@@ -158,8 +164,6 @@ def keyword_match_dataset(
     none. The pool must not overlap the corpora that produced the keywords;
     that is the caller's contract.
     """
-    from .corpus import _tokenized, sample_without_replacement
-
     if n_pos < 1 or n_neg < 1:
         raise ValueError("n_pos and n_neg must be >= 1")
     kept, _dropped = _tokenized(pool, config)
@@ -174,13 +178,7 @@ def keyword_match_dataset(
     rng = random.Random(seed)
     pos_sel = sample_without_replacement(pos_pool, n_pos, rng)
     neg_sel = sample_without_replacement(neg_pool, n_neg, rng)
-    documents, labels, provenance = [], [], []
-    for side, label in ((pos_sel, POSITIVE), (neg_sel, NEGATIVE)):
-        for comment, tokens in side:
-            documents.append(tuple(tokens))
-            labels.append(label)
-            provenance.append((comment.id, comment.community))
-    return LabeledDataset(tuple(documents), tuple(labels), tuple(provenance), seed)
+    return dataset_from_pairs(pos_sel, neg_sel, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 
-from .corpus import CorpusSlice
-
 # http(s)/www URLs plus bare domains with a path; matched case-insensitively
 # because removal happens before lowercasing.
 _URL_RE = re.compile(
@@ -29,8 +27,6 @@ _URL_RE = re.compile(
 # emoji and symbols are stripped.
 _PUNCT_RE = re.compile(r"[^\w\s]|_")
 _DIGIT_RE = re.compile(r"\d+")
-
-DEFAULT_BOT_AUTHORS = frozenset({"AutoModerator"})
 
 
 @lru_cache(maxsize=1)
@@ -49,11 +45,6 @@ def load_stopwords(path: str) -> frozenset[str]:
 @dataclass(frozen=True)
 class PreprocessConfig:
     stopwords: frozenset[str] = field(default_factory=builtin_stopwords)
-    bot_authors: frozenset[str] = DEFAULT_BOT_AUTHORS
-    strip_urls: bool = True
-    strip_digits: bool = True
-    strip_punct: bool = True
-    lowercase: bool = True
 
 
 def default_config() -> PreprocessConfig:
@@ -64,34 +55,17 @@ def preprocess(body: str, config: PreprocessConfig | None = None) -> list[str]:
     """Normalize and tokenize one comment body.
 
     Total function: any input (including empty) yields a token list, possibly
-    empty. Output tokens never contain whitespace and, under the default
-    config, never contain uppercase letters, digits, or stopwords.
+    empty. Output tokens never contain whitespace, uppercase letters,
+    digits, or the config's stopwords.
     """
     cfg = config or default_config()
-    text = body
-    if cfg.strip_urls:
-        text = _URL_RE.sub(" ", text)
-    if cfg.lowercase:
-        text = text.lower()
-    if cfg.strip_punct:
-        text = _PUNCT_RE.sub(" ", text)
-    if cfg.strip_digits:
-        text = _DIGIT_RE.sub("", text)
-    tokens = text.split()
-    if cfg.strip_digits:
-        # \d only covers decimal digits; superscripts, fractions and other
-        # numeric characters are word chars and need the slow per-char path.
-        tokens = [
-            tok if tok.isascii() else "".join(c for c in tok if not c.isnumeric())
-            for tok in tokens
-        ]
+    text = _URL_RE.sub(" ", body).lower()
+    text = _DIGIT_RE.sub("", _PUNCT_RE.sub(" ", text))
+    # \d only covers decimal digits; superscripts, fractions and other
+    # numeric characters are word chars and need the slow per-char path.
+    tokens = [
+        tok if tok.isascii() else "".join(c for c in tok if not c.isnumeric())
+        for tok in text.split()
+    ]
     return [tok for tok in tokens if tok and tok not in cfg.stopwords]
 
-
-def filter_noise(slice_: CorpusSlice, config: PreprocessConfig | None = None) -> CorpusSlice:
-    """Drop bot-authored and deleted comments, preserving order."""
-    cfg = config or default_config()
-    kept = tuple(
-        c for c in slice_.comments if not c.deleted and c.author not in cfg.bot_authors
-    )
-    return CorpusSlice(kept, slice_.source_label, slice_.target_group)

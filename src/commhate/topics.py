@@ -1,12 +1,10 @@
 """Labeled LDA over a labeled corpus, one topic per label.
 
-Inference is collapsed Gibbs sampling with each token's topic restricted to
-its document's label set. With exactly one label per document (the only case
-the public API admits) every restricted conditional is a point mass, so the
-chain is absorbed at its initial state: the fitted phi equals the
-beta-smoothed label-conditional term frequencies. The sampler detects this
-fixed point after one sweep and accounts the remaining sweeps arithmetically,
-which is exact, not an approximation.
+Labeled LDA restricts each token's topic to its document's label set
+(Ramage et al. 2009). With exactly one label per document, the only case
+the public API admits, every token's topic is fixed by its document, so
+there is nothing to sample: phi is the beta-smoothed label-conditional
+term frequency, computed here in closed form.
 
 Top terms are ranked by a distinctiveness score (the label's phi minus the
 best competing label's phi) so generic high-frequency terms shared by all
@@ -15,50 +13,56 @@ labels drop out; raw-phi ranking is available via ``ranking="phi"``.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .corpus import sample_without_replacement
 from .seeding import derive_seed
 
 
 @dataclass(frozen=True)
 class LldaConfig:
-    alpha: float = 0.5
     beta: float = 0.1
-    iterations: int = 1000
-    burn_in: int = 200
-    seed: int = 0
+    seed: int = 0  # drives fit_two_sides' subsampling
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("alpha and beta must be positive")
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be non-negative")
-        if self.iterations <= self.burn_in:
-            raise ValueError("iterations must exceed burn_in")
+        if not (self.beta > 0 and math.isfinite(self.beta)):
+            raise ValueError("beta must be positive and finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LldaModel:
+    """Per-label term counts and phi, both (labels x vocabulary) arrays.
+
+    The vocabulary is sorted, so ranking by index breaks ties
+    lexicographically.
+    """
+
     labels: tuple[str, ...]
     vocabulary: tuple[str, ...]
-    topic_word_counts: tuple[tuple[float, ...], ...]  # post-burn-in averages
-    phi: tuple[tuple[float, ...], ...]
+    topic_word_counts: np.ndarray
+    phi: np.ndarray
 
     def __post_init__(self):
-        if len(self.labels) != len(self.phi) or len(self.labels) != len(
-            self.topic_word_counts
-        ):
+        for name in ("topic_word_counts", "phi"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        n_labels = len(self.labels)
+        if len(self.phi) != n_labels or len(self.topic_word_counts) != n_labels:
             raise ValueError("one count row and one phi row per label required")
-        for row in self.phi:
-            if len(row) != len(self.vocabulary):
-                raise ValueError("phi rows must span the vocabulary")
-            total = sum(row)
-            if abs(total - 1.0) > 1e-9 or any(p < 0 for p in row):
-                raise ValueError("phi rows must be distributions summing to 1")
+        shape = (n_labels, len(self.vocabulary))
+        if self.phi.shape != shape or self.topic_word_counts.shape != shape:
+            raise ValueError("count and phi rows must span the vocabulary")
+        if list(self.vocabulary) != sorted(set(self.vocabulary)):
+            raise ValueError("vocabulary must be sorted and free of duplicates")
+        row_sums = self.phi.sum(axis=1)
+        if not (np.all(np.abs(row_sums - 1.0) <= 1e-9) and np.all(self.phi >= 0)):
+            raise ValueError("phi rows must be distributions summing to 1")
 
     def label_index(self, label: str) -> int:
         try:
@@ -72,7 +76,8 @@ def fit_llda(
     doc_labels: Sequence[str],
     config: LldaConfig,
 ) -> LldaModel:
-    """Fit the one-topic-per-label model by label-constrained collapsed Gibbs.
+    """Fit the one-topic-per-label model: beta-smoothed per-label term
+    frequencies.
 
     Every document must carry one label and the corpus must contain at least
     two distinct labels; empty vocabularies are rejected.
@@ -94,90 +99,34 @@ def fit_llda(
     label_index = {l: i for i, l in enumerate(labels)}
     n_labels, n_terms = len(labels), len(vocab)
 
-    # Token stream as (admissible topic tuple, term index); single-label docs
-    # always yield singleton admissible sets.
-    tokens: list[tuple[tuple[int, ...], int]] = []
-    for doc, label in zip(documents, doc_labels):
-        admissible = (label_index[label],)
-        for term in doc:
-            tokens.append((admissible, term_index[term]))
-
-    rng = random.Random(derive_seed(config.seed, "llda", "gibbs"))
-    counts = np.zeros((n_labels, n_terms))
-    topic_totals = np.zeros(n_labels)
-    assignment = []
-    for admissible, w in tokens:
-        z = admissible[0] if len(admissible) == 1 else rng.choice(admissible)
-        assignment.append(z)
-        counts[z, w] += 1
-        topic_totals[z] += 1
-
-    def sweep() -> int:
-        """One full Gibbs sweep; returns the number of reassigned tokens."""
-        changed = 0
-        beta = config.beta
-        for pos, (admissible, w) in enumerate(tokens):
-            old = assignment[pos]
-            if len(admissible) == 1:
-                continue  # point-mass conditional, nothing to sample
-            counts[old, w] -= 1
-            topic_totals[old] -= 1
-            weights = [
-                (counts[z, w] + beta) / (topic_totals[z] + beta * n_terms)
-                for z in admissible
-            ]
-            total = sum(weights)
-            r = rng.random() * total
-            acc = 0.0
-            new = admissible[-1]
-            for z, wt in zip(admissible, weights):
-                acc += wt
-                if r < acc:
-                    new = z
-                    break
-            counts[new, w] += 1
-            topic_totals[new] += 1
-            assignment[pos] = new
-            if new != old:
-                changed += 1
-        return changed
-
-    acc_counts = np.zeros_like(counts)
-    n_samples = 0
-    absorbed = False
-    for it in range(1, config.iterations + 1):
-        if not absorbed:
-            changed = sweep()
-            if changed == 0 and all(len(a) == 1 for a, _ in tokens):
-                # Fixed point: every later sweep leaves counts unchanged, so
-                # averaging further snapshots is arithmetic, not sampling.
-                absorbed = True
-        if it > config.burn_in:
-            acc_counts += counts
-            n_samples += 1
-            if absorbed:
-                remaining = config.iterations - it
-                acc_counts += counts * remaining
-                n_samples += remaining
-                break
-        elif absorbed:
-            # Absorbed before burn-in ends: every post-burn-in snapshot will
-            # equal the current counts, so account them all at once.
-            n_after = config.iterations - config.burn_in
-            acc_counts += counts * n_after
-            n_samples += n_after
-            break
-
-    mean_counts = acc_counts / n_samples
-    denom = mean_counts.sum(axis=1, keepdims=True) + config.beta * n_terms
-    phi = (mean_counts + config.beta) / denom
+    cells = [
+        label_index[label] * n_terms + term_index[t]
+        for doc, label in zip(documents, doc_labels)
+        for t in doc
+    ]
+    counts = np.bincount(cells, minlength=n_labels * n_terms).reshape(n_labels, n_terms)
+    counts = counts.astype(float)
+    denom = counts.sum(axis=1, keepdims=True) + config.beta * n_terms
+    phi = (counts + config.beta) / denom
     phi = phi / phi.sum(axis=1, keepdims=True)  # absorb rounding in the tail
-    return LldaModel(
-        labels=labels,
-        vocabulary=vocab,
-        topic_word_counts=tuple(tuple(float(c) for c in row) for row in mean_counts),
-        phi=tuple(tuple(float(p) for p in row) for row in phi),
-    )
+    return LldaModel(labels=labels, vocabulary=vocab, topic_word_counts=counts, phi=phi)
+
+
+def _distinctiveness(model: LldaModel, li: int) -> np.ndarray:
+    """phi(label)[t] minus the largest phi any other label gives t."""
+    others = np.delete(model.phi, li, axis=0)
+    return model.phi[li] - (others.max(axis=0) if len(others) else 0.0)
+
+
+def _ranked(model: LldaModel, label: str, k: int, ranking: str) -> np.ndarray:
+    """Vocabulary indices of the k highest-ranked terms for a label."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if ranking not in ("distinctiveness", "phi"):
+        raise ValueError(f"unknown ranking {ranking!r}")
+    li = model.label_index(label)
+    scores = model.phi[li] if ranking == "phi" else _distinctiveness(model, li)
+    return np.argsort(-scores, kind="stable")[:k]
 
 
 def top_terms(
@@ -188,32 +137,13 @@ def top_terms(
     Distinctiveness of term t is phi(label)[t] minus the largest phi any
     other label gives t, which suppresses corpus-wide frequent terms.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if ranking not in ("distinctiveness", "phi"):
-        raise ValueError(f"unknown ranking {ranking!r}")
-    li = model.label_index(label)
-    own = model.phi[li]
-    if ranking == "phi" or len(model.labels) == 1:
-        scores = own
-    else:
-        others = [model.phi[j] for j in range(len(model.labels)) if j != li]
-        scores = tuple(
-            own[t] - max(row[t] for row in others) for t in range(len(own))
-        )
-    ranked = sorted(zip(model.vocabulary, scores), key=lambda e: (-e[1], e[0]))
-    return [term for term, _ in ranked[:k]]
+    return [model.vocabulary[t] for t in _ranked(model, label, k, ranking)]
 
 
 def term_scores(model: LldaModel, label: str) -> dict[str, float]:
     """Distinctiveness score per vocabulary term for one label."""
-    li = model.label_index(label)
-    own = model.phi[li]
-    others = [model.phi[j] for j in range(len(model.labels)) if j != li]
-    return {
-        term: own[t] - (max(row[t] for row in others) if others else 0.0)
-        for t, term in enumerate(model.vocabulary)
-    }
+    scores = _distinctiveness(model, model.label_index(label))
+    return dict(zip(model.vocabulary, scores.tolist()))
 
 
 def jaccard_index(a: set, b: set) -> float:
@@ -246,8 +176,6 @@ def fit_two_sides(
     if subsample:
         m = min(len(pos), len(neg))
         rng = random.Random(derive_seed(config.seed, "llda", "subsample"))
-        from .corpus import sample_without_replacement
-
         if len(pos) > m:
             pos = sample_without_replacement(pos, m, rng)
         if len(neg) > m:
@@ -261,21 +189,20 @@ def topic_report(model: LldaModel, k: int, ranking: str = "distinctiveness") -> 
     """Per-label top-k terms plus pairwise Jaccard overlap, as plain data."""
     per_label = []
     term_lists: dict[str, list[str]] = {}
-    for label in model.labels:
-        terms = top_terms(model, label, k, ranking=ranking)
-        term_lists[label] = terms
-        li = model.label_index(label)
-        scores = term_scores(model, label)
+    for li, label in enumerate(model.labels):
+        ranked = _ranked(model, label, k, ranking)
+        scores = _distinctiveness(model, li)
+        term_lists[label] = [model.vocabulary[t] for t in ranked]
         per_label.append(
             {
                 "label": label,
                 "terms": [
                     {
-                        "term": t,
-                        "phi": model.phi[li][model.vocabulary.index(t)],
-                        "distinctiveness": scores[t],
+                        "term": model.vocabulary[t],
+                        "phi": float(model.phi[li, t]),
+                        "distinctiveness": float(scores[t]),
                     }
-                    for t in terms
+                    for t in ranked
                 ],
             }
         )

@@ -1,8 +1,13 @@
 """Collects the release-gate criteria results and prints one PASS/FAIL line
 per criterion in the terminal summary, where pytest's output capture cannot
-swallow it."""
+swallow it; also provides the label-shuffling helper the chance-level
+checks use."""
+
+import random
 
 import pytest
+
+from commhate.corpus import LabeledDataset
 
 _RESULTS: dict[str, tuple[bool, str]] = {}
 
@@ -29,3 +34,21 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         passed, description = _RESULTS[cid]
         verdict = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"ACCEPTANCE {cid} {verdict}: {description}")
+
+
+@pytest.fixture()
+def shuffle_labels():
+    """Permute labels relative to documents; destroys any real signal while
+    preserving both marginals."""
+
+    def shuffle(dataset: LabeledDataset, seed: int = 0) -> LabeledDataset:
+        idx = list(range(len(dataset)))
+        random.Random(seed).shuffle(idx)
+        return LabeledDataset(
+            dataset.documents,
+            tuple(dataset.labels[i] for i in idx),
+            dataset.provenance,
+            dataset.seed,
+        )
+
+    return shuffle

@@ -24,13 +24,11 @@ from commhate.classifiers import Algorithm, TrainConfig, logistic_loss_and_grad,
 from commhate.corpus import (
     NEGATIVE,
     POSITIVE,
-    CorpusSlice,
     LabeledDataset,
     build_balanced,
-    build_imbalanced_testset,
+    imbalanced_subset,
     iter_jsonl,
     load_jsonl,
-    shuffle_labels,
     write_dataset,
     write_jsonl,
 )
@@ -268,7 +266,7 @@ def test_c08_precision_gap():
 
 @pytest.mark.acceptance("C9", "CV accuracy >= 0.95 for all three classifiers on "
                               "disjoint vocabularies; shuffled-label kappa within 0.1 of 0")
-def test_c09_separability_and_chance_floor():
+def test_c09_separability_and_chance_floor(shuffle_labels):
     pos, neg, _ = generate(SynthSpec(n_docs=1000, seed=9))
     ds, _ = build_balanced(pos, neg, seed=1)
     assert len(ds) == 2000
@@ -307,9 +305,11 @@ def test_c11_imbalance_grid():
         SynthSpec(n_docs=200, vocab_core=20, vocab_shared=10, seed=6)
     )
     train_ds, _ = build_balanced(train_pos, train_neg, seed=2)
-    pos_small = CorpusSlice(pos.comments[:2], pos.source_label)
+    pool, _ = build_balanced(pos, neg, seed=0)
+    pos_idx = [i for i, l in enumerate(pool.labels) if l == POSITIVE]
+    pool = pool.subset(pos_idx[:2] + [i for i, l in enumerate(pool.labels) if l == NEGATIVE])
     for ratio in (10, 100, 1000):
-        test_ds, _ = build_imbalanced_testset(pos_small, neg, ratio, seed=ratio)
+        test_ds = imbalanced_subset(pool, ratio, seed=ratio)
         assert test_ds.counts() == (2, 2 * ratio)
         metrics, _ = train_and_eval(train_ds, test_ds, Algorithm.LR, seed=1)
         assert metrics.counts.total == 2 + 2 * ratio

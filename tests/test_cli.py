@@ -101,6 +101,14 @@ class TestEntryPoints:
         assert exc.value.code == 1
         assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--alpha", "--iterations", "--burn-in"])
+    def test_sampler_flags_are_gone(self, corpora, capsys, flag):
+        pos, neg = corpora
+        with pytest.raises(SystemExit) as exc:
+            _run(["topics", "--pos", str(pos), "--neg", str(neg), flag, "2"])
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     def test_missing_required_flag_exits_one(self):
         with pytest.raises(SystemExit) as exc:
             _run(["ingest"])
@@ -154,6 +162,26 @@ class TestIngest:
     def test_missing_input_exits_two(self, tmp_path, capsys):
         code = _run(["ingest", "--input", str(tmp_path / "absent.jsonl")])
         assert code == 2
+
+    def test_truncated_gzip_is_skipped_or_named(self, tmp_path, capsys):
+        bodies = [f"body number {i} " * 6 for i in range(1500)]
+        blob = gzip.compress("".join(
+            json.dumps(r) + "\n" for r in _reddit_rows("alpha", bodies, "a")).encode())
+        src = tmp_path / "dump.jsonl.gz"
+        src.write_bytes(blob[: len(blob) // 2])
+        out_dir = tmp_path / "out"
+        assert _run(["ingest", "--input", str(src), "--output-dir", str(out_dir)]) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+        kept = manifest["params"]["kept"]
+        assert 0 < kept < len(bodies) and manifest["params"]["skipped"] == 1
+        capsys.readouterr()
+        code = _run(["ingest", "--input", str(src), "--strict",
+                     "--output-dir", str(tmp_path / "strict")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"commhate: data error: {src}: compressed stream "
+                              f"truncated after line {kept}:")
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("bad", [
         b"\xff\xfe\n",
@@ -222,6 +250,7 @@ class TestTopicsAndKeywords:
         assert "JI(" in capsys.readouterr().out
         manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["params"]["k"] == 2
+        assert manifest["params"]["llda"] == {"beta": 0.1}
 
     # chi-square is symmetric, so perfectly one-sided terms from either corpus
     # can surface; the topic model's distinctiveness ranking is one-sided
@@ -496,6 +525,28 @@ class TestConfigPrecedence:
                      "--output-dir", str(tmp_path / "o")])
         assert code == 1
         assert "unknown keys in 'train'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["synth", "experiment"])
+    @pytest.mark.parametrize("config,message", [
+        ({"train": 5}, "'train' must be a JSON object"),
+        ({"llda": 5}, "'llda' must be a JSON object"),
+        ({"keywords": [1]}, "'keywords' must be a JSON object"),
+        ({"experiments": [5]}, "each experiment must be a JSON object"),
+        ({"experiments": 0}, "'experiments' must be a list"),
+        ({"llda": {"alpha": 0.5}}, "unknown keys in 'llda': ['alpha']"),
+        ({"llda": {"iterations": 10, "burn_in": 2}},
+         "unknown keys in 'llda': ['burn_in', 'iterations']"),
+    ], ids=["train", "llda", "keywords", "experiment", "experiments", "alpha", "schedule"])
+    def test_ill_typed_or_removed_config_exits_one(self, tmp_path, capsys, command,
+                                                   config, message):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv = ["synth", "--n", "10"] if command == "synth" else ["experiment"]
+        code = _run(argv + ["--config", str(path), "--output-dir", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"commhate: error: {path}: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_malformed_config_exits_two(self, tmp_path, capsys):
         config = tmp_path / "run.json"

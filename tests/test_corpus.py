@@ -180,6 +180,20 @@ class TestJsonlIO:
         with pytest.raises(ValueError, match=rf"{name}:2: malformed record"):
             list(corpus.iter_jsonl(str(p), strict=True))
 
+    def test_truncated_gzip_keeps_complete_lines(self, tmp_path):
+        rows = [json.dumps({"id": str(i), "body": f"body {i} " * 8, "subreddit": "s"})
+                for i in range(2000)]
+        blob = gzip.compress(("\n".join(rows) + "\n").encode())
+        p = tmp_path / "cut.jsonl.gz"
+        p.write_bytes(blob[: len(blob) // 2])
+        skipped_lines = []
+        kept = list(corpus.iter_jsonl(str(p), on_skip=skipped_lines.append))
+        assert 0 < len(kept) < len(rows)
+        assert [c.id for c in kept] == [str(i) for i in range(len(kept))]
+        assert skipped_lines == [len(kept) + 1]
+        with pytest.raises(ValueError, match=rf"cut.jsonl.gz: .*truncated after line {len(kept)}:"):
+            list(corpus.iter_jsonl(str(p), strict=True))
+
     def test_blank_and_crlf_lines(self, tmp_path):
         p = tmp_path / "c.jsonl"
         p.write_bytes(b'{"id": "1", "body": "a", "subreddit": "s"}\r\n'
@@ -192,35 +206,17 @@ class TestJsonlIO:
 
 class TestSampling:
     def test_exhaustive_sample_returns_all(self):
-        sl = _slice(1000)
-        out = corpus.sample_background(sl, 1000, seed=1)
-        assert sorted(c.id for c in out.comments) == sorted(
-            c.id for c in sl.comments
-        )
-
-    def test_exclusion_shortfall_error(self):
-        comments = tuple(
-            _comment(i, community="X" if i < 100 else "ok") for i in range(1000)
-        )
-        sl = CorpusSlice(comments, SourceLabel.BACKGROUND)
-        with pytest.raises(ValueError, match="900"):
-            corpus.sample_background(sl, 950, exclude_communities={"X"})
-
-    def test_excluded_communities_never_sampled(self):
-        comments = tuple(
-            _comment(i, community="X" if i % 3 == 0 else "ok") for i in range(300)
-        )
-        sl = CorpusSlice(comments, SourceLabel.BACKGROUND)
-        out = corpus.sample_background(sl, 150, exclude_communities={"X"}, seed=5)
-        assert all(c.community != "X" for c in out.comments)
+        items = list(range(1000))
+        out = corpus.sample_without_replacement(items, 1000, random.Random(1))
+        assert sorted(out) == items
 
     def test_deterministic_under_seed(self):
-        sl = _slice(200)
-        a = corpus.sample_background(sl, 50, seed=9)
-        b = corpus.sample_background(sl, 50, seed=9)
-        c = corpus.sample_background(sl, 50, seed=10)
-        assert [x.id for x in a.comments] == [x.id for x in b.comments]
-        assert [x.id for x in a.comments] != [x.id for x in c.comments]
+        items = list(range(200))
+        a = corpus.sample_without_replacement(items, 50, random.Random(9))
+        b = corpus.sample_without_replacement(items, 50, random.Random(9))
+        c = corpus.sample_without_replacement(items, 50, random.Random(10))
+        assert a == b
+        assert a != c
 
     @given(st.integers(0, 2**32), st.integers(1, 50))
     @settings(max_examples=30)
@@ -271,27 +267,35 @@ class TestBuildBalanced:
 
 
 class TestImbalanced:
+    @staticmethod
+    def _dataset(n_pos, n_neg):
+        return LabeledDataset(
+            tuple((f"t{i}",) for i in range(n_pos + n_neg)),
+            (POSITIVE,) * n_pos + (NEGATIVE,) * n_neg,
+            tuple((str(i), "c") for i in range(n_pos + n_neg)),
+        )
+
     def test_exact_ratio(self):
-        ds, _ = corpus.build_imbalanced_testset(_slice(50), _slice(600), ratio=10)
+        ds = corpus.imbalanced_subset(self._dataset(50, 600), ratio=10)
         assert ds.counts() == (50, 500)
 
     def test_insufficient_negatives_error_names_counts(self):
         with pytest.raises(ValueError) as exc:
-            corpus.build_imbalanced_testset(_slice(50), _slice(10000), ratio=1000)
+            corpus.imbalanced_subset(self._dataset(50, 10000), ratio=1000)
         assert "50000" in str(exc.value) and "10000" in str(exc.value)
 
     def test_ratio_one_matches_balanced_counts(self):
-        ds, _ = corpus.build_imbalanced_testset(_slice(40), _slice(90), ratio=1)
+        ds = corpus.imbalanced_subset(self._dataset(40, 90), ratio=1)
         assert ds.counts() == (40, 40)
 
     def test_dataset_level_subset(self):
-        ds, _ = corpus.build_balanced(_slice(20), _slice(300), seed=0)
-        # rebuild with spare negatives: 20 pos + 200 neg source
-        big, _ = corpus.build_imbalanced_testset(_slice(20), _slice(300), ratio=10)
+        big = self._dataset(20, 300)
         small = corpus.imbalanced_subset(big, 5, seed=1)
         assert small.counts() == (20, 100)
+        assert set(small.provenance) <= set(big.provenance)
+        assert small.documents[:20] == big.documents[:20]  # every positive kept
         with pytest.raises(ValueError, match="needs"):
-            corpus.imbalanced_subset(ds, 3)
+            corpus.imbalanced_subset(self._dataset(20, 20), 3)
 
 
 class TestKfold:
@@ -403,13 +407,13 @@ class TestLabeledDataset:
         assert sub.labels == (POSITIVE, POSITIVE)
         assert sub.provenance == (("3", "z"), ("1", "x"))
 
-    def test_shuffle_labels_preserves_marginals(self):
+    def test_shuffle_labels_preserves_marginals(self, shuffle_labels):
         ds = LabeledDataset(
             tuple((f"t{i}",) for i in range(20)),
             (POSITIVE,) * 8 + (NEGATIVE,) * 12,
             tuple((str(i), "c") for i in range(20)),
         )
-        shuffled = corpus.shuffle_labels(ds, seed=3)
+        shuffled = shuffle_labels(ds, seed=3)
         assert shuffled.counts() == ds.counts()
         assert shuffled.documents == ds.documents
         assert shuffled.labels != ds.labels

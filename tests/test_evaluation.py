@@ -128,6 +128,13 @@ class TestAggregation:
         assert s.accuracy == pytest.approx((folds[0].accuracy + folds[1].accuracy) / 2)
         assert s.kappa == pytest.approx((folds[0].kappa + folds[1].kappa) / 2)
 
+    def test_mean_sums_left_to_right(self):
+        # Ten folds of accuracy 0.1: a plain running sum gives
+        # 0.9999999999999999, a compensated one (sum() from Python 3.12) 1.0.
+        fold = metrics_from_counts(ConfusionCounts(tp=1, fp=9, tn=0, fn=0))
+        assert fold.accuracy == 0.1
+        assert mean_of([fold] * 10).accuracy == 0.9999999999999999 / 10
+
     def test_pooled_sums_counts_first(self):
         pooled = pooled_of(self._folds())
         assert (pooled.counts.tp, pooled.counts.fp) == (10, 2)

@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from commhate import textprep
-from commhate.corpus import Comment, CorpusSlice, SourceLabel
 
 
 @pytest.fixture(scope="module")
@@ -56,16 +55,6 @@ class TestPreprocess:
     def test_underscore_is_punctuation(self, cfg):
         assert textprep.preprocess("snake_case", cfg) == ["snake", "case"]
 
-    def test_flags_can_disable_stages(self):
-        cfg = textprep.PreprocessConfig(
-            stopwords=frozenset(),
-            strip_urls=False,
-            strip_digits=False,
-            strip_punct=False,
-            lowercase=False,
-        )
-        assert textprep.preprocess("The 123 cats!!", cfg) == ["The", "123", "cats!!"]
-
     def test_stopword_filter_respects_config_set(self):
         cfg = textprep.PreprocessConfig(stopwords=frozenset({"cats"}))
         assert textprep.preprocess("cats dogs", cfg) == ["dogs"]
@@ -110,48 +99,6 @@ class TestStopwords:
     def test_core_function_words_present(self):
         words = textprep.builtin_stopwords()
         assert {"the", "a", "and", "is", "t", "s", "check"} <= words
-
-
-def _slice(comments):
-    return CorpusSlice(tuple(comments), SourceLabel.BACKGROUND)
-
-
-class TestFilterNoise:
-    def test_drops_bot_authors(self, cfg):
-        comments = [
-            Comment(id=str(i), body="hello", community="c", author="user")
-            for i in range(8)
-        ] + [
-            Comment(id=f"b{i}", body="hello", community="c", author="AutoModerator")
-            for i in range(2)
-        ]
-        out = textprep.filter_noise(_slice(comments), cfg)
-        assert len(out) == 8
-        assert all(c.author != "AutoModerator" for c in out.comments)
-
-    def test_identity_when_nothing_to_drop(self):
-        cfg = textprep.PreprocessConfig(
-            stopwords=frozenset({"the"}), bot_authors=frozenset()
-        )
-        comments = [Comment(id="1", body="x", community="c")]
-        out = textprep.filter_noise(_slice(comments), cfg)
-        assert out.comments == tuple(comments)
-
-    def test_all_deleted_gives_empty_slice(self, cfg):
-        comments = [
-            Comment(id=str(i), body="[deleted]", community="c") for i in range(3)
-        ]
-        out = textprep.filter_noise(_slice(comments), cfg)
-        assert len(out) == 0
-
-    def test_preserves_order(self, cfg):
-        comments = [
-            Comment(id="1", body="a", community="c"),
-            Comment(id="2", body="b", community="c", author="AutoModerator"),
-            Comment(id="3", body="c", community="c"),
-        ]
-        out = textprep.filter_noise(_slice(comments), cfg)
-        assert [c.id for c in out.comments] == ["1", "3"]
 
 
 def test_ascii_letters_only_tokens_pass_through(cfg=None):
