@@ -29,6 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import atomic
 from .corpus import NEGATIVE, POSITIVE
 from .seeding import derive_seed
 from .vectorizer import CsrBatch
@@ -332,9 +333,7 @@ def model_from_dict(obj: dict) -> tuple[LinearModel, str]:
 
 
 def save_model(model: LinearModel, path: str, vectorizer_hash: str = "") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model, vectorizer_hash), fh, sort_keys=True)
-        fh.write("\n")
+    atomic.write_json(path, model_to_dict(model, vectorizer_hash))
 
 
 def load_model(path: str) -> tuple[LinearModel, str]:

@@ -15,14 +15,13 @@ Conventions shared by every subcommand:
 from __future__ import annotations
 
 import argparse
-import gzip
 import hashlib
 import json
 import os
 import sys
 from dataclasses import dataclass, field
 
-from . import __version__, classifiers, corpus, evaluation, keywords, synthgen, textprep, topics, vectorizer
+from . import __version__, atomic, classifiers, corpus, evaluation, keywords, synthgen, textprep, topics, vectorizer
 from .seeding import derive_seed
 
 
@@ -34,12 +33,13 @@ class DataError(Exception):
 # Config file
 # ---------------------------------------------------------------------------
 
-_TRAIN_KEYS = {"l2_lambda", "epochs", "learning_rate", "nb_alpha"}
-_LLDA_KEYS = {"beta"}
-_KEYWORD_KEYS = {"k", "min_df"}
-_TOP_KEYS = {
-    "seed", "output_dir", "min_df", "stopwords_path",
-    "train", "llda", "keywords", "experiments",
+# Every config key with the JSON type of its value; a dict is a section.
+_CONFIG_TYPES = {
+    "seed": int, "output_dir": str, "min_df": int, "stopwords_path": str,
+    "train": {"l2_lambda": float, "epochs": int, "learning_rate": float, "nb_alpha": float},
+    "llda": {"beta": float},
+    "keywords": {"k": int, "min_df": int},
+    "experiments": list,
 }
 
 
@@ -52,7 +52,7 @@ class RunConfig:
     train: dict = field(default_factory=dict)
     llda: dict = field(default_factory=dict)
     keywords: dict = field(default_factory=dict)
-    experiments: tuple[dict, ...] = ()
+    experiments: tuple[evaluation.ExperimentSpec, ...] = ()
 
 
 def load_run_config(path: str) -> RunConfig:
@@ -65,31 +65,32 @@ def load_run_config(path: str) -> RunConfig:
         raise DataError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    unknown = set(obj) - _TOP_KEYS
+    unknown = set(obj) - set(_CONFIG_TYPES)
     if unknown:
         raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
-    for section, allowed in (("train", _TRAIN_KEYS), ("llda", _LLDA_KEYS),
-                             ("keywords", _KEYWORD_KEYS)):
-        value = obj.get(section, {})
-        if not isinstance(value, dict):
-            raise ValueError(f"{path}: {section!r} must be a JSON object")
-        bad = set(value) - allowed
-        if bad:
-            raise ValueError(f"{path}: unknown keys in {section!r}: {sorted(bad)}")
-    experiments = obj.get("experiments", [])
-    if not isinstance(experiments, list):
-        raise ValueError(f"{path}: 'experiments' must be a list")
+    evaluation.check_types(obj, _CONFIG_TYPES, f"{path}: ")
+    for section, types in _CONFIG_TYPES.items():
+        if isinstance(types, dict):
+            bad = set(obj.get(section) or {}) - set(types)
+            if bad:
+                raise ValueError(f"{path}: unknown keys in {section!r}: {sorted(bad)}")
+            evaluation.check_types(obj.get(section) or {}, types, f"{path}: {section!r} key ")
+    experiments = obj.get("experiments") or []
     if not all(isinstance(e, dict) for e in experiments):
         raise ValueError(f"{path}: each experiment must be a JSON object")
+    try:
+        specs = tuple(evaluation.experiment_from_dict(e) for e in experiments)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return RunConfig(
         seed=obj.get("seed"),
         output_dir=obj.get("output_dir"),
         min_df=obj.get("min_df"),
         stopwords_path=obj.get("stopwords_path"),
-        train=dict(obj.get("train", {})),
-        llda=dict(obj.get("llda", {})),
-        keywords=dict(obj.get("keywords", {})),
-        experiments=tuple(experiments),
+        train=dict(obj.get("train") or {}),
+        llda=dict(obj.get("llda") or {}),
+        keywords=dict(obj.get("keywords") or {}),
+        experiments=specs,
     )
 
 
@@ -137,9 +138,7 @@ def _write_manifest(out_dir: str, command: str, params: dict, inputs: dict,
             "report": evaluation.REPORT_SCHEMA_VERSION,
         },
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, ensure_ascii=False, sort_keys=True, indent=2)
-        fh.write("\n")
+    atomic.write_json(os.path.join(out_dir, "manifest.json"), manifest, indent=2)
 
 
 def _prep_config(args, cfg: RunConfig) -> textprep.PreprocessConfig:
@@ -177,7 +176,7 @@ def _out_dir(args, cfg: RunConfig) -> str:
 
 
 def _seed(args, cfg: RunConfig) -> int:
-    return int(_pick(getattr(args, "seed", None), cfg.seed, 0))
+    return _pick(getattr(args, "seed", None), cfg.seed, 0)
 
 
 def _train_config(args, cfg: RunConfig, algorithm: str, seed: int) -> classifiers.TrainConfig:
@@ -185,7 +184,7 @@ def _train_config(args, cfg: RunConfig, algorithm: str, seed: int) -> classifier
     return classifiers.TrainConfig(
         algorithm=classifiers.Algorithm(algorithm),
         l2_lambda=float(_pick(getattr(args, "l2_lambda", None), t.get("l2_lambda"), 1e-4)),
-        epochs=int(_pick(getattr(args, "epochs", None), t.get("epochs"), 20)),
+        epochs=_pick(getattr(args, "epochs", None), t.get("epochs"), 20),
         learning_rate=float(
             _pick(getattr(args, "learning_rate", None), t.get("learning_rate"), 0.1)
         ),
@@ -210,34 +209,21 @@ def cmd_ingest(args, cfg: RunConfig) -> int:
     communities = set(args.community) if args.community else None
     out_dir = _out_dir(args, cfg)
     out_path = os.path.join(out_dir, args.output)
-    skipped = [0]
-    n = 0
-    opener = (
-        gzip.open(out_path, "wt", encoding="utf-8")
-        if out_path.endswith(".gz")
-        else open(out_path, "w", encoding="utf-8")
-    )
+    skipped = []
     try:
-        with opener as fh:
-            for c in corpus.iter_jsonl(
-                args.input, community_filter=communities, platform=platform,
-                strict=args.strict, on_skip=lambda _ln: skipped.__setitem__(0, skipped[0] + 1),
-            ):
-                fh.write(json.dumps(
-                    {"id": c.id, "body": c.body, "community": c.community,
-                     "platform": c.platform.value, "created_at": c.created_at,
-                     "author": c.author},
-                    ensure_ascii=False) + "\n")
-                n += 1
+        n = corpus.write_jsonl(corpus.iter_jsonl(
+            args.input, community_filter=communities, platform=platform,
+            strict=args.strict, on_skip=skipped.append,
+        ), out_path)
     except ValueError as exc:
         raise DataError(str(exc)) from None
     _write_manifest(
         out_dir, "ingest",
         {"platform": platform.value, "communities": sorted(communities or []),
-         "strict": args.strict, "skipped": skipped[0], "kept": n},
+         "strict": args.strict, "skipped": len(skipped), "kept": n},
         {"input": args.input}, [out_path],
     )
-    print(f"ingested {n} comment(s) -> {out_path} ({skipped[0]} malformed skipped)")
+    print(f"ingested {n} comment(s) -> {out_path} ({len(skipped)} malformed skipped)")
     return 0
 
 
@@ -248,11 +234,8 @@ def cmd_preprocess(args, cfg: RunConfig) -> int:
     out_path = os.path.join(out_dir, args.output)
     slice_ = _load_corpus(args.input, corpus.Platform(args.platform))
     kept, dropped = corpus._tokenized(slice_, prep)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for c, toks in kept:
-            fh.write(json.dumps(
-                {"id": c.id, "community": c.community, "tokens": toks},
-                ensure_ascii=False) + "\n")
+    atomic.write_jsonl(out_path, ({"id": c.id, "community": c.community, "tokens": toks}
+                                  for c, toks in kept))
     _write_manifest(
         out_dir, "preprocess",
         {"kept": len(kept), "dropped": dropped, "stopwords": len(prep.stopwords)},
@@ -278,12 +261,9 @@ def cmd_topics(args, cfg: RunConfig) -> int:
     out_dir = _out_dir(args, cfg)
     json_path = os.path.join(out_dir, "topics.json")
     txt_path = os.path.join(out_dir, "topics.txt")
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, ensure_ascii=False, sort_keys=True, indent=2)
-        fh.write("\n")
+    atomic.write_json(json_path, report, indent=2)
     table = topics.format_topic_table(report)
-    with open(txt_path, "w", encoding="utf-8") as fh:
-        fh.write(table)
+    atomic.write_text(txt_path, table)
     _write_manifest(
         out_dir, "topics",
         {"k": args.k, "ranking": args.ranking, "seed": seed,
@@ -300,8 +280,8 @@ def cmd_keywords(args, cfg: RunConfig) -> int:
     method = keywords.KeywordMethod(args.method)
     hate = _load_corpus(args.hate, corpus.Platform(args.platform))
     contrast = _load_corpus(args.contrast, corpus.Platform(args.platform))
-    k = int(_pick(args.k, cfg.keywords.get("k"), keywords.DEFAULT_K))
-    min_df = int(_pick(args.min_df, cfg.keywords.get("min_df"), keywords.DEFAULT_MIN_DF))
+    k = _pick(args.k, cfg.keywords.get("k"), keywords.DEFAULT_K)
+    min_df = _pick(args.min_df, cfg.keywords.get("min_df"), keywords.DEFAULT_MIN_DF)
     try:
         ks = keywords.build_keyword_set(
             method,
@@ -316,8 +296,7 @@ def cmd_keywords(args, cfg: RunConfig) -> int:
     json_path = os.path.join(out_dir, "keywords.json")
     txt_path = os.path.join(out_dir, "keywords.txt")
     keywords.save_keyword_set(ks, json_path)
-    with open(txt_path, "w", encoding="utf-8") as fh:
-        fh.write(keywords.format_keyword_list(ks))
+    atomic.write_text(txt_path, keywords.format_keyword_list(ks))
     _write_manifest(
         out_dir, "keywords",
         {"method": method.value, "k": k, "min_df": min_df,
@@ -351,7 +330,7 @@ def _assemble_dataset(args, cfg: RunConfig, seed: int):
 def cmd_train(args, cfg: RunConfig) -> int:
     seed = _seed(args, cfg)
     ds, dropped = _assemble_dataset(args, cfg, derive_seed(seed, "train", "dataset"))
-    min_df = int(_pick(args.min_df, cfg.min_df, 2))
+    min_df = _pick(args.min_df, cfg.min_df, 2)
     train_cfg = _train_config(args, cfg, args.algorithm, derive_seed(seed, "train", "fit"))
     try:
         vec = vectorizer.fit_tfidf(ds.documents, min_df=min_df)
@@ -423,9 +402,7 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
         "dataset_fingerprint": corpus.dataset_fingerprint(ds),
         "vectorizer_fingerprint": actual,
     }
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, ensure_ascii=False, sort_keys=True, indent=2)
-        fh.write("\n")
+    atomic.write_json(out_path, payload, indent=2)
     inputs = {"model": args.model, "vectorizer": args.vectorizer}
     if args.dataset:
         inputs["dataset"] = args.dataset
@@ -445,14 +422,10 @@ def cmd_experiment(args, cfg: RunConfig) -> int:
             "no experiments defined; put an 'experiments' list in the config file"
         )
     base_dir = os.path.dirname(os.path.abspath(args.config)) if args.config else "."
-    try:
-        specs = [evaluation.experiment_from_dict(e) for e in cfg.experiments]
-    except ValueError as exc:
-        raise ValueError(f"{args.config}: {exc}") from None
     out_dir = _out_dir(args, cfg)
-    min_df = int(_pick(args.min_df, cfg.min_df, 2))
+    min_df = _pick(args.min_df, cfg.min_df, 2)
     artifacts = []
-    for spec in specs:
+    for spec in cfg.experiments:
         try:
             report = evaluation.run_experiment(spec, base_dir=base_dir, min_df=min_df)
         except (ValueError, FileNotFoundError) as exc:
@@ -460,16 +433,14 @@ def cmd_experiment(args, cfg: RunConfig) -> int:
         stem = os.path.join(out_dir, spec.name)
         evaluation.save_report(report, stem + ".json")
         table = evaluation.format_metrics_table(report)
-        with open(stem + ".txt", "w", encoding="utf-8") as fh:
-            fh.write(table)
-        with open(stem + ".csv", "w", encoding="utf-8") as fh:
-            fh.write(evaluation.report_to_csv(report))
+        atomic.write_text(stem + ".txt", table)
+        atomic.write_text(stem + ".csv", evaluation.report_to_csv(report))
         artifacts += [stem + ".json", stem + ".txt", stem + ".csv"]
         print(f"# {spec.name}")
         print(table, end="")
     _write_manifest(
         out_dir, "experiment",
-        {"experiments": [s.name for s in specs], "min_df": min_df},
+        {"experiments": [s.name for s in cfg.experiments], "min_df": min_df},
         {"config": args.config} if args.config else {}, artifacts,
     )
     return 0

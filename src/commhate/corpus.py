@@ -12,11 +12,12 @@ import gzip
 import hashlib
 import json
 import random
+import zlib
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator
 
-from . import textprep
+from . import atomic, textprep
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -73,6 +74,9 @@ class CorpusSlice:
 
     def __len__(self) -> int:
         return len(self.comments)
+
+    def __iter__(self) -> Iterator[Comment]:
+        return iter(self.comments)
 
     def communities(self) -> set[str]:
         return {c.community for c in self.comments}
@@ -175,9 +179,9 @@ def iter_jsonl(
     (``on_skip`` is called with the 1-based line number); in strict mode they
     raise with the line number. Lines are decoded one at a time, so a line
     that is not valid UTF-8 is one malformed record, not the end of the file.
-    A truncated .gz ends the stream: every complete line before the cut is
-    kept and the cut counts as one malformed record (strict mode raises,
-    naming the last complete line).
+    A truncated or corrupt .gz ends the stream: every complete line before
+    the damage is kept and the damage counts as one malformed record (strict
+    mode raises, naming the last complete line).
     """
     with _open_bytes(path) as fh:
         lineno = 0
@@ -196,10 +200,11 @@ def iter_jsonl(
                     continue
                 if community_filter is None or comment.community in community_filter:
                     yield comment
-        except EOFError as exc:  # gzip stream stops short of its end marker
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:  # cut or corrupt .gz
             if strict:
+                damage = "truncated" if isinstance(exc, EOFError) else "corrupt"
                 raise ValueError(
-                    f"{path}: compressed stream truncated after line {lineno}: {exc}"
+                    f"{path}: compressed stream {damage} after line {lineno}: {exc}"
                 ) from exc
             if on_skip is not None:
                 on_skip(lineno + 1)
@@ -228,27 +233,14 @@ def load_jsonl(
     return CorpusSlice(comments, source_label, target_group), skipped[0]
 
 
-def write_jsonl(slice_: CorpusSlice, path: str) -> None:
-    """Write a slice back out in the generic schema; round-trips losslessly."""
-    opener = gzip.open(path, "wt", encoding="utf-8") if str(path).endswith(".gz") else open(
-        path, "w", encoding="utf-8"
-    )
-    with opener as fh:
-        for c in slice_.comments:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": c.id,
-                        "body": c.body,
-                        "community": c.community,
-                        "platform": c.platform.value,
-                        "created_at": c.created_at,
-                        "author": c.author,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+def write_jsonl(comments: Iterable[Comment], path: str) -> int:
+    """Write comments in the generic schema (round-trips losslessly), one line
+    each as they arrive; returns the count."""
+    return atomic.write_jsonl(path, (
+        {"id": c.id, "body": c.body, "community": c.community,
+         "platform": c.platform.value, "created_at": c.created_at, "author": c.author}
+        for c in comments
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -385,17 +377,11 @@ def kfold_split(
 
 def write_dataset(dataset: LabeledDataset, path: str) -> None:
     """Persist a dataset as JSONL rows {tokens, label, id, community}."""
-    with open(path, "w", encoding="utf-8") as fh:
+    atomic.write_jsonl(path, (
+        {"tokens": list(tokens), "label": label, "id": cid, "community": community}
         for tokens, label, (cid, community) in zip(
-            dataset.documents, dataset.labels, dataset.provenance
-        ):
-            fh.write(
-                json.dumps(
-                    {"tokens": list(tokens), "label": label, "id": cid, "community": community},
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+            dataset.documents, dataset.labels, dataset.provenance)
+    ))
 
 
 def load_dataset(path: str) -> LabeledDataset:

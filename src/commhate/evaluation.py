@@ -21,6 +21,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Sequence
 
+from . import atomic
 from .classifiers import Algorithm, TrainConfig, train
 from .corpus import (
     NEGATIVE,
@@ -276,7 +277,24 @@ def cross_validate(
 # Experiments
 # ---------------------------------------------------------------------------
 
-_SPEC_KEYS = {"name", "train_source", "test_source", "kinds", "seed", "imbalance_ratio"}
+_SPEC_TYPES = {"name": str, "train_source": str, "test_source": str, "kinds": list,
+               "seed": int, "imbalance_ratio": int}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list",
+               dict: "a JSON object"}
+
+
+def check_types(obj: dict, types: dict, where: str) -> None:
+    """Raise ValueError for the first value whose JSON type is not the one
+    ``types`` gives its key (a dict there means a section). null means
+    unset; a bool is not a number; an integer is a number. Keys missing
+    from ``types`` are left to the caller."""
+    for key, value in obj.items():
+        want = dict if isinstance(types.get(key), dict) else types.get(key)
+        if want is None or value is None:
+            continue
+        accepted = (int, float) if want is float else want
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ValueError(f"{where}{key!r} must be {_TYPE_NAMES[want]}")
 
 
 @dataclass(frozen=True)
@@ -319,23 +337,14 @@ class ExperimentSpec:
 
 
 def experiment_from_dict(obj: dict) -> ExperimentSpec:
-    unknown = set(obj) - _SPEC_KEYS
+    unknown = set(obj) - set(_SPEC_TYPES)
     if unknown:
         raise ValueError(f"unknown experiment config keys: {sorted(unknown)}")
-    missing = {"name", "train_source", "test_source"} - set(obj)
+    check_types(obj, _SPEC_TYPES, "experiment key ")
+    missing = {k for k in ("name", "train_source", "test_source") if obj.get(k) is None}
     if missing:
         raise ValueError(f"missing experiment config keys: {sorted(missing)}")
-    kwargs = dict(
-        name=str(obj["name"]),
-        train_source=str(obj["train_source"]),
-        test_source=str(obj["test_source"]),
-        seed=int(obj.get("seed", 0)),
-    )
-    if "kinds" in obj:
-        kwargs["kinds"] = tuple(Algorithm(k) for k in obj["kinds"])
-    if obj.get("imbalance_ratio") is not None:
-        kwargs["imbalance_ratio"] = int(obj["imbalance_ratio"])
-    return ExperimentSpec(**kwargs)
+    return ExperimentSpec(**{k: v for k, v in obj.items() if v is not None})
 
 
 def experiment_to_dict(spec: ExperimentSpec) -> dict:
@@ -426,19 +435,14 @@ def report_json(report: dict) -> str:
 
 
 def save_report(report: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report_json(report))
+    atomic.write_json(path, report, indent=2)
 
 
 # ---------------------------------------------------------------------------
-# Baseline comparison
+# Rendering
 # ---------------------------------------------------------------------------
 
-
-def _test_fingerprint(report: dict) -> str:
-    datasets = report["datasets"]
-    entry = datasets.get("test", datasets["train"])
-    return entry["fingerprint"]
+_COLUMNS = ("accuracy", "precision", "recall", "f1", "kappa")
 
 
 def _headline_metrics(report: dict, kind: str) -> dict:
@@ -448,42 +452,6 @@ def _headline_metrics(report: dict, kind: str) -> dict:
     m = dict(entry["metrics"])
     m.pop("counts", None)
     return m
-
-
-def compare_baseline(community_report: dict, baseline_reports: Sequence[dict]) -> dict:
-    """Side-by-side metric deltas of a community-trained report against
-    keyword-baseline reports over the same test set."""
-    ref = _test_fingerprint(community_report)
-    comparisons = []
-    for baseline in baseline_reports:
-        if _test_fingerprint(baseline) != ref:
-            raise ValueError(
-                f"baseline report {baseline.get('name')!r} was evaluated on a "
-                "different test set; comparison would be invalid"
-            )
-        for kind in sorted(community_report["results"]):
-            if kind not in baseline["results"]:
-                continue
-            community = _headline_metrics(community_report, kind)
-            base = _headline_metrics(baseline, kind)
-            comparisons.append(
-                {
-                    "baseline_name": baseline.get("name", ""),
-                    "algorithm": kind,
-                    "community": community,
-                    "baseline": base,
-                    "delta": {m: community[m] - base[m] for m in community},
-                    "precision_exceeds": community["precision"] > base["precision"],
-                }
-            )
-    return {"test_fingerprint": ref, "comparisons": comparisons}
-
-
-# ---------------------------------------------------------------------------
-# Rendering
-# ---------------------------------------------------------------------------
-
-_COLUMNS = ("accuracy", "precision", "recall", "f1", "kappa")
 
 
 def format_metrics_table(report: dict) -> str:

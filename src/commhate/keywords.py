@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
+from . import atomic
 from .corpus import (
     CorpusSlice,
     LabeledDataset,
@@ -207,9 +208,7 @@ def keyword_set_from_dict(obj: dict) -> KeywordSet:
 
 
 def save_keyword_set(ks: KeywordSet, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(keyword_set_to_dict(ks), fh, ensure_ascii=False, sort_keys=True)
-        fh.write("\n")
+    atomic.write_json(path, keyword_set_to_dict(ks))
 
 
 def load_keyword_set(path: str) -> KeywordSet:

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import json
 import random
 from dataclasses import dataclass
 
+from . import atomic
 from .corpus import Comment, CorpusSlice, Platform, SourceLabel
 from .seeding import derive_seed
 
@@ -128,6 +128,4 @@ def generate(spec: SynthSpec) -> tuple[CorpusSlice, CorpusSlice, dict]:
 
 
 def write_ground_truth(ground_truth: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(ground_truth, fh, ensure_ascii=False, sort_keys=True, indent=2)
-        fh.write("\n")
+    atomic.write_json(path, ground_truth, indent=2)

@@ -18,6 +18,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import atomic
+
 SCHEMA_VERSION = 1
 
 
@@ -203,9 +205,7 @@ def model_from_dict(obj: dict) -> TfidfModel:
 
 
 def save_tfidf(model: TfidfModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, ensure_ascii=False, sort_keys=True)
-        fh.write("\n")
+    atomic.write_json(path, model_to_dict(model))
 
 
 def load_tfidf(path: str) -> TfidfModel:

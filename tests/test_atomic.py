@@ -1,0 +1,138 @@
+"""Artifacts are replaced atomically: a failed write leaves the old file (or
+no file) and no temp file; a new file gets the mode open(path, "w") gives."""
+
+import gzip
+import json
+import os
+import time
+
+import pytest
+
+from commhate import atomic, cli, corpus, keywords
+
+
+def _reddit_dump(path, n):
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(n):
+            fh.write(json.dumps({"id": f"c{i}", "body": f"comment number {i}",
+                                 "subreddit": "alpha", "created_utc": 1000 + i,
+                                 "author": f"u{i}"}) + "\n")
+
+
+def _ingest(src, out_dir, *extra):
+    return cli.main(["ingest", "--input", str(src), "--output-dir", str(out_dir), *extra])
+
+
+class TestFailedWrite:
+    def test_json_body_raising_keeps_old_artifact(self, tmp_path, monkeypatch):
+        path = tmp_path / "keywords.json"
+        ks = keywords.KeywordSet(keywords.KeywordMethod.CHI2_I, "g", (("slur", 2.5),))
+        keywords.save_keyword_set(ks, str(path))
+        before = path.read_bytes()
+
+        def half_then_fail(obj, fh, **kwargs):
+            fh.write('{"method": ')
+            raise RuntimeError("disk went away")
+
+        monkeypatch.setattr(json, "dump", half_then_fail)
+        with pytest.raises(RuntimeError, match="disk went away"):
+            keywords.save_keyword_set(ks, str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["keywords.json"]
+
+    def test_json_body_raising_leaves_no_new_file(self, tmp_path, monkeypatch):
+        def fail(obj, fh, **kwargs):
+            fh.write("{")
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(json, "dump", fail)
+        with pytest.raises(RuntimeError):
+            atomic.write_json(str(tmp_path / "new.json"), {"a": 1})
+        assert os.listdir(tmp_path) == []
+
+    def test_interrupted_gz_ingest_keeps_old_artifacts(self, tmp_path, monkeypatch):
+        src = tmp_path / "dump.jsonl"
+        _reddit_dump(src, 200)
+        out_dir = tmp_path / "out"
+        assert _ingest(src, out_dir, "--output", "kept.jsonl.gz") == 0
+        before = {name: (out_dir / name).read_bytes() for name in os.listdir(out_dir)}
+        real_iter = corpus.iter_jsonl
+
+        def interrupted(*args, **kwargs):
+            for n, comment in enumerate(real_iter(*args, **kwargs)):
+                if n == 150:
+                    raise KeyboardInterrupt
+                yield comment
+
+        monkeypatch.setattr(corpus, "iter_jsonl", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            _ingest(src, out_dir, "--output", "kept.jsonl.gz")
+        assert {name: (out_dir / name).read_bytes() for name in os.listdir(out_dir)} == before
+        assert sorted(before) == ["kept.jsonl.gz", "manifest.json"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+@pytest.mark.parametrize("name", ["a.json", "a.jsonl.gz"])
+def test_new_artifact_mode_follows_umask(tmp_path, umask, name):
+    old = os.umask(umask)
+    try:
+        atomic.write_jsonl(str(tmp_path / name), [{"x": 1}])
+    finally:
+        os.umask(old)
+    assert os.stat(tmp_path / name).st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_write_jsonl_counts_rows_and_replaces(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text("stale\n" * 10, encoding="utf-8")
+    assert atomic.write_jsonl(str(path), iter([{"b": "é"}, {"a": 2}])) == 2
+    assert path.read_text(encoding="utf-8") == '{"b": "é"}\n{"a": 2}\n'
+    assert atomic.write_jsonl(str(path), iter([])) == 0
+    assert path.read_bytes() == b""
+
+
+def test_successful_runs_leave_only_manifest_artifacts(tmp_path, capsys):
+    synth, model, scored = tmp_path / "synth", tmp_path / "model", tmp_path / "eval"
+    runs = [
+        (synth, ["synth", "--n", "30", "--vocab-core", "4", "--vocab-shared", "4"]),
+        (model, ["train", "--pos", str(synth / "pos.jsonl"), "--neg", str(synth / "neg.jsonl"),
+                 "--platform", "other", "--min-df", "1"]),
+        (scored, ["evaluate", "--model", str(model / "model.json"),
+                  "--vectorizer", str(model / "vectorizer.json"),
+                  "--dataset", str(synth / "dataset.jsonl")]),
+    ]
+    for out_dir, argv in runs:
+        assert cli.main(argv + ["--output-dir", str(out_dir)]) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+        listed = {os.path.basename(p) for p in manifest["artifacts"]}
+        assert sorted(os.listdir(out_dir)) == sorted(listed | {"manifest.json"})
+
+
+def test_in_place_ingest_keeps_every_line(tmp_path, capsys):
+    src = tmp_path / "dump.jsonl"
+    _reddit_dump(src, 300)
+    out_dir = tmp_path / "out"
+    assert _ingest(src, out_dir) == 0
+    filtered = out_dir / "filtered.jsonl"
+    before = filtered.read_bytes()
+    assert _ingest(filtered, out_dir) == 0
+    assert filtered.read_bytes() == before
+    assert len(before.splitlines()) == 300
+    assert "ingested 300 comment(s)" in capsys.readouterr().out
+
+
+def test_gz_artifacts_are_byte_reproducible(tmp_path, monkeypatch, capsys):
+    src = tmp_path / "dump.jsonl"
+    _reddit_dump(src, 50)
+    blobs = []
+    for clock in (1_000_000_000.0, 2_000_000_000.0):
+        monkeypatch.setattr(time, "time", lambda clock=clock: clock)
+        out_dir = tmp_path / f"out{int(clock)}"
+        assert _ingest(src, out_dir, "--output", "kept.jsonl.gz") == 0
+        blobs.append((out_dir / "kept.jsonl.gz").read_bytes())
+    assert blobs[0] == blobs[1]
+    header = blobs[0]
+    assert header[3] & 0x08  # FNAME present
+    # gzip records the name of the uncompressed file: the target's, not a temp file's.
+    assert header[10:header.index(b"\0", 10)] == b"kept.jsonl"
+    assert len(gzip.decompress(header).splitlines()) == 50

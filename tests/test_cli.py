@@ -164,24 +164,47 @@ class TestIngest:
         assert code == 2
 
     def test_truncated_gzip_is_skipped_or_named(self, tmp_path, capsys):
+        self._check_damaged_gzip(tmp_path, capsys, "truncated")
+
+    @pytest.mark.parametrize("damage", ["deflate", "crc"])
+    def test_corrupt_gzip_is_skipped_or_named(self, tmp_path, capsys, damage):
+        self._check_damaged_gzip(tmp_path, capsys, damage)
+
+    def _check_damaged_gzip(self, tmp_path, capsys, damage):
+        """Lenient ingest keeps every complete line and counts the damage as
+        one skip; strict ingest exits 2 naming the last complete line and
+        leaves no output behind."""
         bodies = [f"body number {i} " * 6 for i in range(1500)]
-        blob = gzip.compress("".join(
-            json.dumps(r) + "\n" for r in _reddit_rows("alpha", bodies, "a")).encode())
+        blob = bytearray(gzip.compress("".join(
+            json.dumps(r) + "\n" for r in _reddit_rows("alpha", bodies, "a")).encode()))
+        if damage == "truncated":
+            blob = blob[: len(blob) // 2]
+        elif damage == "deflate":
+            # Append a second member whose first block has the reserved type 11.
+            tail = bytearray(gzip.compress(b'{"id": "late", "body": "x", "subreddit": "alpha"}\n'))
+            tail[10] |= 0b110
+            blob += tail
+        else:
+            for i in range(len(blob) - 8, len(blob)):  # CRC32 and ISIZE
+                blob[i] ^= 0xFF
         src = tmp_path / "dump.jsonl.gz"
-        src.write_bytes(blob[: len(blob) // 2])
+        src.write_bytes(bytes(blob))
         out_dir = tmp_path / "out"
         assert _run(["ingest", "--input", str(src), "--output-dir", str(out_dir)]) == 0
         manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
         kept = manifest["params"]["kept"]
-        assert 0 < kept < len(bodies) and manifest["params"]["skipped"] == 1
+        assert manifest["params"]["skipped"] == 1
+        assert 0 < kept < len(bodies) if damage == "truncated" else kept == len(bodies)
         capsys.readouterr()
-        code = _run(["ingest", "--input", str(src), "--strict",
-                     "--output-dir", str(tmp_path / "strict")])
+        strict_dir = tmp_path / "strict"
+        code = _run(["ingest", "--input", str(src), "--strict", "--output-dir", str(strict_dir)])
         assert code == 2
         err = capsys.readouterr().err
+        word = "truncated" if damage == "truncated" else "corrupt"
         assert err.startswith(f"commhate: data error: {src}: compressed stream "
-                              f"truncated after line {kept}:")
+                              f"{word} after line {kept}:")
         assert len(err.splitlines()) == 1
+        assert os.listdir(strict_dir) == []
 
     @pytest.mark.parametrize("bad", [
         b"\xff\xfe\n",
@@ -536,7 +559,17 @@ class TestConfigPrecedence:
         ({"llda": {"alpha": 0.5}}, "unknown keys in 'llda': ['alpha']"),
         ({"llda": {"iterations": 10, "burn_in": 2}},
          "unknown keys in 'llda': ['burn_in', 'iterations']"),
-    ], ids=["train", "llda", "keywords", "experiment", "experiments", "alpha", "schedule"])
+        ({"seed": [1]}, "'seed' must be an integer"),
+        ({"seed": True}, "'seed' must be an integer"),
+        ({"output_dir": 5}, "'output_dir' must be a string"),
+        ({"train": {"epochs": [1]}}, "'train' key 'epochs' must be an integer"),
+        ({"train": {"epochs": "3"}}, "'train' key 'epochs' must be an integer"),
+        ({"llda": {"beta": False}}, "'llda' key 'beta' must be a number"),
+        ({"experiments": [{"name": "e", "train_source": "d.jsonl", "test_source": "cv:2",
+                           "seed": [1]}]}, "experiment key 'seed' must be an integer"),
+    ], ids=["train", "llda", "keywords", "experiment", "experiments", "alpha", "schedule",
+            "seed-list", "seed-bool", "output-dir", "epochs-list", "epochs-string",
+            "beta-bool", "experiment-seed"])
     def test_ill_typed_or_removed_config_exits_one(self, tmp_path, capsys, command,
                                                    config, message):
         path = tmp_path / "run.json"
@@ -547,6 +580,13 @@ class TestConfigPrecedence:
         err = capsys.readouterr().err
         assert err == f"commhate: error: {path}: {message}\n"
         assert not (tmp_path / "o").exists()
+
+    def test_integer_accepted_where_number_expected(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"train": {"l2_lambda": 1}, "llda": {"beta": 2}}),
+                        encoding="utf-8")
+        cfg = cli.load_run_config(str(path))
+        assert (cfg.train, cfg.llda) == ({"l2_lambda": 1}, {"beta": 2})
 
     def test_malformed_config_exits_two(self, tmp_path, capsys):
         config = tmp_path / "run.json"

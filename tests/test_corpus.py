@@ -194,6 +194,31 @@ class TestJsonlIO:
         with pytest.raises(ValueError, match=rf"cut.jsonl.gz: .*truncated after line {len(kept)}:"):
             list(corpus.iter_jsonl(str(p), strict=True))
 
+    @pytest.mark.parametrize("damage", ["deflate", "crc"])
+    def test_corrupt_gzip_keeps_complete_lines(self, tmp_path, damage):
+        rows = [json.dumps({"id": str(i), "body": f"body {i} " * 8, "subreddit": "s"})
+                for i in range(400)]
+        intact = gzip.compress(("\n".join(rows[:300]) + "\n").encode())
+        tail = bytearray(gzip.compress(("\n".join(rows[300:]) + "\n").encode()))
+        if damage == "deflate":
+            # A second gzip member whose first block has the reserved type 11:
+            # zlib.error once the first member's 300 lines are read.
+            tail[10] |= 0b110
+            n_kept, error = 300, "invalid block type"
+        else:
+            for i in range(len(tail) - 8, len(tail)):  # CRC32 and ISIZE
+                tail[i] ^= 0xFF
+            n_kept, error = 400, "CRC check failed"
+        p = tmp_path / "bad.jsonl.gz"
+        p.write_bytes(intact + bytes(tail))
+        skipped_lines = []
+        kept = list(corpus.iter_jsonl(str(p), on_skip=skipped_lines.append))
+        assert [c.id for c in kept] == [str(i) for i in range(n_kept)]
+        assert skipped_lines == [n_kept + 1]
+        with pytest.raises(ValueError, match=rf"bad.jsonl.gz: compressed stream corrupt "
+                                             rf"after line {n_kept}: .*{error}"):
+            list(corpus.iter_jsonl(str(p), strict=True))
+
     def test_blank_and_crlf_lines(self, tmp_path):
         p = tmp_path / "c.jsonl"
         p.write_bytes(b'{"id": "1", "body": "a", "subreddit": "s"}\r\n'

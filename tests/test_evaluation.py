@@ -14,7 +14,6 @@ from commhate.corpus import NEGATIVE, POSITIVE, LabeledDataset, write_dataset
 from commhate.evaluation import (
     ConfusionCounts,
     ExperimentSpec,
-    compare_baseline,
     compute_metrics,
     cross_validate,
     experiment_from_dict,
@@ -326,43 +325,6 @@ class TestRunExperiment:
         out = tmp_path / "report.json"
         save_report(report, str(out))
         assert json.loads(out.read_text(encoding="utf-8")) == report
-
-
-class TestCompareBaseline:
-    def _report(self, data_dir, name, test="test.jsonl"):
-        spec = ExperimentSpec(
-            name=name, train_source="train.jsonl", test_source=test,
-            kinds=(Algorithm.LR,),
-        )
-        return run_experiment(spec, base_dir=str(data_dir))
-
-    def test_same_test_set_compares(self, tmp_path):
-        write_dataset(_toy_dataset(10, seed=0), str(tmp_path / "train.jsonl"))
-        write_dataset(_toy_dataset(10, seed=1), str(tmp_path / "weak.jsonl"))
-        write_dataset(_toy_dataset(6, seed=2), str(tmp_path / "test.jsonl"))
-        community = self._report(tmp_path, "community")
-        baseline_spec = ExperimentSpec(
-            name="baseline", train_source="weak.jsonl", test_source="test.jsonl",
-            kinds=(Algorithm.LR,),
-        )
-        baseline = run_experiment(baseline_spec, base_dir=str(tmp_path))
-        cmp = compare_baseline(community, [baseline])
-        assert cmp["test_fingerprint"] == community["datasets"]["test"]["fingerprint"]
-        (entry,) = cmp["comparisons"]
-        assert entry["algorithm"] == "lr"
-        assert entry["delta"]["precision"] == pytest.approx(
-            entry["community"]["precision"] - entry["baseline"]["precision"]
-        )
-        assert isinstance(entry["precision_exceeds"], bool)
-
-    def test_different_test_set_rejected(self, tmp_path):
-        write_dataset(_toy_dataset(10, seed=0), str(tmp_path / "train.jsonl"))
-        write_dataset(_toy_dataset(6, seed=2), str(tmp_path / "test.jsonl"))
-        write_dataset(_toy_dataset(6, seed=3), str(tmp_path / "other.jsonl"))
-        a = self._report(tmp_path, "a")
-        b = self._report(tmp_path, "b", test="other.jsonl")
-        with pytest.raises(ValueError, match="different test set"):
-            compare_baseline(a, [b])
 
 
 class TestRendering:
