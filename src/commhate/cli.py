@@ -19,7 +19,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 from . import __version__, atomic, classifiers, corpus, evaluation, keywords, synthgen, textprep, topics, vectorizer
 from .seeding import derive_seed
@@ -30,76 +29,77 @@ class DataError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Config file
+# Settings: flag > config file > default
 # ---------------------------------------------------------------------------
 
-# Every config key with the JSON type of its value; a dict is a section.
-_CONFIG_TYPES = {
-    "seed": int, "output_dir": str, "min_df": int, "stopwords_path": str,
-    "train": {"l2_lambda": float, "epochs": int, "learning_rate": float, "nb_alpha": float},
-    "llda": {"beta": float},
-    "keywords": {"k": int, "min_df": int},
-    "experiments": list,
-}
+# One row per setting: config section (None at top level), config key, JSON
+# type, the argparse dest the key stands in for, and the default, taken from
+# the library that uses it. "experiments" has no flag.
+_SETTINGS = (
+    (None, "seed", int, "seed", 0),
+    (None, "output_dir", str, "output_dir", "."),
+    (None, "min_df", int, "min_df", vectorizer.DEFAULT_MIN_DF),
+    (None, "stopwords_path", str, "stopwords", None),
+    (None, "experiments", list, "experiments", ()),
+    ("train", "l2_lambda", float, "l2_lambda", classifiers.TrainConfig.l2_lambda),
+    ("train", "epochs", int, "epochs", classifiers.TrainConfig.epochs),
+    ("train", "learning_rate", float, "learning_rate", classifiers.TrainConfig.learning_rate),
+    ("train", "nb_alpha", float, "nb_alpha", classifiers.TrainConfig.nb_alpha),
+    ("llda", "beta", float, "beta", topics.LldaConfig.beta),
+    ("keywords", "k", int, "keyword_k", keywords.DEFAULT_K),
+    ("keywords", "min_df", int, "keyword_min_df", keywords.DEFAULT_MIN_DF),
+)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int | None = None
-    output_dir: str | None = None
-    min_df: int | None = None
-    stopwords_path: str | None = None
-    train: dict = field(default_factory=dict)
-    llda: dict = field(default_factory=dict)
-    keywords: dict = field(default_factory=dict)
-    experiments: tuple[evaluation.ExperimentSpec, ...] = ()
-
-
-def load_run_config(path: str) -> RunConfig:
+def load_run_config(path: str) -> dict:
+    """The settings a config file sets, keyed by argparse dest, with the
+    experiments parsed into specs. Keys and types are checked against
+    ``_SETTINGS``; null means unset and is left out."""
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except FileNotFoundError:
         raise DataError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or nesting
         raise DataError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    unknown = set(obj) - set(_CONFIG_TYPES)
+    types: dict = {}
+    for section, key, typ, _dest, _default in _SETTINGS:
+        (types.setdefault(section, {}) if section else types)[key] = typ
+    unknown = set(obj) - set(types)
     if unknown:
         raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
-    evaluation.check_types(obj, _CONFIG_TYPES, f"{path}: ")
-    for section, types in _CONFIG_TYPES.items():
-        if isinstance(types, dict):
-            bad = set(obj.get(section) or {}) - set(types)
+    evaluation.check_types(obj, types, f"{path}: ")
+    for section, keys in types.items():
+        if isinstance(keys, dict):
+            bad = set(obj.get(section) or {}) - set(keys)
             if bad:
                 raise ValueError(f"{path}: unknown keys in {section!r}: {sorted(bad)}")
-            evaluation.check_types(obj.get(section) or {}, types, f"{path}: {section!r} key ")
-    experiments = obj.get("experiments") or []
+            evaluation.check_types(obj.get(section) or {}, keys, f"{path}: {section!r} key ")
+    values = {}
+    for section, key, _typ, dest, _default in _SETTINGS:
+        value = ((obj.get(section) or {}) if section else obj).get(key)
+        if value is not None:
+            values[dest] = value
+    experiments = values.get("experiments", [])
     if not all(isinstance(e, dict) for e in experiments):
         raise ValueError(f"{path}: each experiment must be a JSON object")
     try:
-        specs = tuple(evaluation.experiment_from_dict(e) for e in experiments)
+        values["experiments"] = [evaluation.experiment_from_dict(e) for e in experiments]
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return RunConfig(
-        seed=obj.get("seed"),
-        output_dir=obj.get("output_dir"),
-        min_df=obj.get("min_df"),
-        stopwords_path=obj.get("stopwords_path"),
-        train=dict(obj.get("train") or {}),
-        llda=dict(obj.get("llda") or {}),
-        keywords=dict(obj.get("keywords") or {}),
-        experiments=specs,
-    )
+    return values
 
 
-def _pick(flag_value, config_value, default):
-    if flag_value is not None:
-        return flag_value
-    if config_value is not None:
-        return config_value
-    return default
+def _resolve(args, config: dict) -> None:
+    """Give every setting the command line left unset its config value, or
+    else its default, coerced to the setting's type."""
+    for _section, _key, typ, dest, default in _SETTINGS:
+        value = getattr(args, dest, None)
+        if value is None:
+            value = config.get(dest, default)
+        setattr(args, dest, None if value is None else typ(value))
 
 
 # ---------------------------------------------------------------------------
@@ -121,15 +121,21 @@ def _sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir: str, command: str, params: dict, inputs: dict,
+def _hash_inputs(inputs: dict) -> dict:
+    """The manifest's inputs with their sha256. Commands take this before
+    writing any artifact, since an artifact may replace its own input."""
+    return {"inputs": inputs,
+            "input_hashes": {p: _sha256_file(p) for p in inputs.values() if p}}
+
+
+def _write_manifest(out_dir: str, command: str, params: dict, hashed_inputs: dict,
                     artifacts: list[str]) -> None:
     manifest = {
         "version": 1,
         "tool": {"name": "commhate", "version": __version__},
         "command": command,
         "params": params,
-        "input_hashes": {p: _sha256_file(p) for p in inputs.values() if p},
-        "inputs": inputs,
+        **hashed_inputs,
         "artifacts": sorted(artifacts),
         "schema_versions": {
             "vectorizer": vectorizer.SCHEMA_VERSION,
@@ -141,12 +147,15 @@ def _write_manifest(out_dir: str, command: str, params: dict, inputs: dict,
     atomic.write_json(os.path.join(out_dir, "manifest.json"), manifest, indent=2)
 
 
-def _prep_config(args, cfg: RunConfig) -> textprep.PreprocessConfig:
-    path = _pick(getattr(args, "stopwords", None), cfg.stopwords_path, None)
+def _prep_config(args) -> textprep.PreprocessConfig:
+    path = args.stopwords
     if path is None:
         return textprep.default_config()
     _require_files(path)
-    return textprep.PreprocessConfig(stopwords=textprep.load_stopwords(path))
+    try:
+        return textprep.PreprocessConfig(stopwords=textprep.load_stopwords(path))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: stopword list is not valid UTF-8: {exc}") from None
 
 
 def _load_corpus(path: str, platform: corpus.Platform, communities=None):
@@ -169,33 +178,13 @@ def _tokenize_corpus(slice_, prep) -> list[list[str]]:
     return [toks for _c, toks in kept]
 
 
-def _out_dir(args, cfg: RunConfig) -> str:
-    out = _pick(getattr(args, "output_dir", None), cfg.output_dir, ".")
-    os.makedirs(out, exist_ok=True)
-    return out
+def _out_dir(args) -> str:
+    os.makedirs(args.output_dir, exist_ok=True)
+    return args.output_dir
 
 
-def _seed(args, cfg: RunConfig) -> int:
-    return _pick(getattr(args, "seed", None), cfg.seed, 0)
-
-
-def _train_config(args, cfg: RunConfig, algorithm: str, seed: int) -> classifiers.TrainConfig:
-    t = cfg.train
-    return classifiers.TrainConfig(
-        algorithm=classifiers.Algorithm(algorithm),
-        l2_lambda=float(_pick(getattr(args, "l2_lambda", None), t.get("l2_lambda"), 1e-4)),
-        epochs=_pick(getattr(args, "epochs", None), t.get("epochs"), 20),
-        learning_rate=float(
-            _pick(getattr(args, "learning_rate", None), t.get("learning_rate"), 0.1)
-        ),
-        nb_alpha=float(_pick(getattr(args, "nb_alpha", None), t.get("nb_alpha"), 1.0)),
-        seed=seed,
-    )
-
-
-def _llda_config(args, cfg: RunConfig, seed: int) -> topics.LldaConfig:
-    beta = _pick(getattr(args, "beta", None), cfg.llda.get("beta"), 0.1)
-    return topics.LldaConfig(beta=float(beta), seed=seed)
+def _source_inputs(args) -> dict:
+    return {"dataset": args.dataset} if args.dataset else {"pos": args.pos, "neg": args.neg}
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +192,12 @@ def _llda_config(args, cfg: RunConfig, seed: int) -> topics.LldaConfig:
 # ---------------------------------------------------------------------------
 
 
-def cmd_ingest(args, cfg: RunConfig) -> int:
+def cmd_ingest(args) -> int:
     _require_files(args.input)
+    inputs = _hash_inputs({"input": args.input})
     platform = corpus.Platform(args.platform)
     communities = set(args.community) if args.community else None
-    out_dir = _out_dir(args, cfg)
+    out_dir = _out_dir(args)
     out_path = os.path.join(out_dir, args.output)
     skipped = []
     try:
@@ -221,16 +211,17 @@ def cmd_ingest(args, cfg: RunConfig) -> int:
         out_dir, "ingest",
         {"platform": platform.value, "communities": sorted(communities or []),
          "strict": args.strict, "skipped": len(skipped), "kept": n},
-        {"input": args.input}, [out_path],
+        inputs, [out_path],
     )
     print(f"ingested {n} comment(s) -> {out_path} ({len(skipped)} malformed skipped)")
     return 0
 
 
-def cmd_preprocess(args, cfg: RunConfig) -> int:
+def cmd_preprocess(args) -> int:
     _require_files(args.input)
-    prep = _prep_config(args, cfg)
-    out_dir = _out_dir(args, cfg)
+    inputs = _hash_inputs({"input": args.input})
+    prep = _prep_config(args)
+    out_dir = _out_dir(args)
     out_path = os.path.join(out_dir, args.output)
     slice_ = _load_corpus(args.input, corpus.Platform(args.platform))
     kept, dropped = corpus._tokenized(slice_, prep)
@@ -239,18 +230,18 @@ def cmd_preprocess(args, cfg: RunConfig) -> int:
     _write_manifest(
         out_dir, "preprocess",
         {"kept": len(kept), "dropped": dropped, "stopwords": len(prep.stopwords)},
-        {"input": args.input}, [out_path],
+        inputs, [out_path],
     )
     print(f"preprocessed {len(kept)} comment(s) -> {out_path} ({dropped} dropped)")
     return 0
 
 
-def cmd_topics(args, cfg: RunConfig) -> int:
-    prep = _prep_config(args, cfg)
-    seed = _seed(args, cfg)
-    llda_cfg = _llda_config(args, cfg, derive_seed(seed, "topics"))
+def cmd_topics(args) -> int:
+    prep = _prep_config(args)
+    llda_cfg = topics.LldaConfig(beta=args.beta, seed=derive_seed(args.seed, "topics"))
     pos = _load_corpus(args.pos, corpus.Platform(args.platform))
     neg = _load_corpus(args.neg, corpus.Platform(args.platform))
+    inputs = _hash_inputs({"pos": args.pos, "neg": args.neg})
     pos_docs = _tokenize_corpus(pos, prep)
     neg_docs = _tokenize_corpus(neg, prep)
     try:
@@ -258,7 +249,7 @@ def cmd_topics(args, cfg: RunConfig) -> int:
     except ValueError as exc:
         raise DataError(str(exc)) from None
     report = topics.topic_report(model, args.k, ranking=args.ranking)
-    out_dir = _out_dir(args, cfg)
+    out_dir = _out_dir(args)
     json_path = os.path.join(out_dir, "topics.json")
     txt_path = os.path.join(out_dir, "topics.txt")
     atomic.write_json(json_path, report, indent=2)
@@ -266,48 +257,47 @@ def cmd_topics(args, cfg: RunConfig) -> int:
     atomic.write_text(txt_path, table)
     _write_manifest(
         out_dir, "topics",
-        {"k": args.k, "ranking": args.ranking, "seed": seed,
+        {"k": args.k, "ranking": args.ranking, "seed": args.seed,
          "llda": {"beta": llda_cfg.beta}},
-        {"pos": args.pos, "neg": args.neg}, [json_path, txt_path],
+        inputs, [json_path, txt_path],
     )
     print(table, end="")
     return 0
 
 
-def cmd_keywords(args, cfg: RunConfig) -> int:
-    prep = _prep_config(args, cfg)
-    seed = _seed(args, cfg)
+def cmd_keywords(args) -> int:
+    prep = _prep_config(args)
     method = keywords.KeywordMethod(args.method)
     hate = _load_corpus(args.hate, corpus.Platform(args.platform))
     contrast = _load_corpus(args.contrast, corpus.Platform(args.platform))
-    k = _pick(args.k, cfg.keywords.get("k"), keywords.DEFAULT_K)
-    min_df = _pick(args.min_df, cfg.keywords.get("min_df"), keywords.DEFAULT_MIN_DF)
+    inputs = _hash_inputs({"hate": args.hate, "contrast": args.contrast})
     try:
         ks = keywords.build_keyword_set(
             method,
             _tokenize_corpus(hate, prep),
             _tokenize_corpus(contrast, prep),
-            k=k, target_group=args.target_group, min_df=min_df,
-            llda_config=_llda_config(args, cfg, derive_seed(seed, "keywords")),
+            k=args.keyword_k, target_group=args.target_group, min_df=args.keyword_min_df,
+            llda_config=topics.LldaConfig(beta=args.beta,
+                                          seed=derive_seed(args.seed, "keywords")),
         )
     except ValueError as exc:
         raise DataError(str(exc)) from None
-    out_dir = _out_dir(args, cfg)
+    out_dir = _out_dir(args)
     json_path = os.path.join(out_dir, "keywords.json")
     txt_path = os.path.join(out_dir, "keywords.txt")
     keywords.save_keyword_set(ks, json_path)
     atomic.write_text(txt_path, keywords.format_keyword_list(ks))
     _write_manifest(
         out_dir, "keywords",
-        {"method": method.value, "k": k, "min_df": min_df,
-         "target_group": args.target_group, "seed": seed},
-        {"hate": args.hate, "contrast": args.contrast}, [json_path, txt_path],
+        {"method": method.value, "k": args.keyword_k, "min_df": args.keyword_min_df,
+         "target_group": args.target_group, "seed": args.seed},
+        inputs, [json_path, txt_path],
     )
     print(f"{ks.k} keyword(s) [{method.value}] -> {json_path}")
     return 0
 
 
-def _assemble_dataset(args, cfg: RunConfig, seed: int):
+def _assemble_dataset(args, seed: int):
     """Dataset from either a prepared file or a pos/neg corpus pair."""
     if args.dataset:
         _require_files(args.dataset)
@@ -317,7 +307,7 @@ def _assemble_dataset(args, cfg: RunConfig, seed: int):
             raise DataError(str(exc)) from None
     if not (args.pos and args.neg):
         raise ValueError("provide either --dataset or both --pos and --neg")
-    prep = _prep_config(args, cfg)
+    prep = _prep_config(args)
     pos = _load_corpus(args.pos, corpus.Platform(args.platform))
     neg = _load_corpus(args.neg, corpus.Platform(args.platform))
     try:
@@ -327,20 +317,23 @@ def _assemble_dataset(args, cfg: RunConfig, seed: int):
     return ds, dropped
 
 
-def cmd_train(args, cfg: RunConfig) -> int:
-    seed = _seed(args, cfg)
-    ds, dropped = _assemble_dataset(args, cfg, derive_seed(seed, "train", "dataset"))
-    min_df = _pick(args.min_df, cfg.min_df, 2)
-    train_cfg = _train_config(args, cfg, args.algorithm, derive_seed(seed, "train", "fit"))
+def cmd_train(args) -> int:
+    ds, dropped = _assemble_dataset(args, derive_seed(args.seed, "train", "dataset"))
+    inputs = _hash_inputs(_source_inputs(args))
+    train_cfg = classifiers.TrainConfig(
+        algorithm=args.algorithm, l2_lambda=args.l2_lambda, epochs=args.epochs,
+        learning_rate=args.learning_rate, nb_alpha=args.nb_alpha,
+        seed=derive_seed(args.seed, "train", "fit"),
+    )
     try:
-        vec = vectorizer.fit_tfidf(ds.documents, min_df=min_df)
+        vec = vectorizer.fit_tfidf(ds.documents, min_df=args.min_df)
         model = classifiers.train(
             evaluation.vectors_for(train_cfg.algorithm, vec, ds.documents),
             ds.labels, train_cfg,
         )
     except ValueError as exc:
         raise DataError(str(exc)) from None
-    out_dir = _out_dir(args, cfg)
+    out_dir = _out_dir(args)
     artifacts = []
     if dropped is not None:
         ds_path = os.path.join(out_dir, "dataset.jsonl")
@@ -351,10 +344,9 @@ def cmd_train(args, cfg: RunConfig) -> int:
     vectorizer.save_tfidf(vec, vec_path)
     classifiers.save_model(model, model_path, vectorizer.model_fingerprint(vec))
     artifacts += [vec_path, model_path]
-    inputs = {"dataset": args.dataset} if args.dataset else {"pos": args.pos, "neg": args.neg}
     _write_manifest(
         out_dir, "train",
-        {"algorithm": train_cfg.algorithm.value, "min_df": min_df, "seed": seed,
+        {"algorithm": train_cfg.algorithm.value, "min_df": args.min_df, "seed": args.seed,
          "epochs": train_cfg.epochs, "l2_lambda": train_cfg.l2_lambda,
          "learning_rate": train_cfg.learning_rate, "nb_alpha": train_cfg.nb_alpha,
          "n_docs": len(ds), "dropped": dropped,
@@ -367,9 +359,8 @@ def cmd_train(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_evaluate(args, cfg: RunConfig) -> int:
+def cmd_evaluate(args) -> int:
     _require_files(args.model, args.vectorizer)
-    seed = _seed(args, cfg)
     try:
         vec = vectorizer.load_tfidf(args.vectorizer)
         model, recorded_hash = classifiers.load_model(args.model)
@@ -386,14 +377,16 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
             f"model {args.model} has {model.dim} weights but the vectorizer has "
             f"{vec.dim} terms"
         )
-    ds, _ = _assemble_dataset(args, cfg, derive_seed(seed, "evaluate", "dataset"))
+    ds, _ = _assemble_dataset(args, derive_seed(args.seed, "evaluate", "dataset"))
+    inputs = _hash_inputs({"model": args.model, "vectorizer": args.vectorizer,
+                           **_source_inputs(args)})
     kind = model.algorithm
     predicted = model.predict_all(evaluation.vectors_for(kind, vec, ds.documents))
     try:
         metrics = evaluation.compute_metrics(predicted, ds.labels)
     except ValueError as exc:
         raise DataError(str(exc)) from None
-    out_dir = _out_dir(args, cfg)
+    out_dir = _out_dir(args)
     out_path = os.path.join(out_dir, "evaluation.json")
     payload = {
         "version": evaluation.REPORT_SCHEMA_VERSION,
@@ -403,31 +396,26 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
         "vectorizer_fingerprint": actual,
     }
     atomic.write_json(out_path, payload, indent=2)
-    inputs = {"model": args.model, "vectorizer": args.vectorizer}
-    if args.dataset:
-        inputs["dataset"] = args.dataset
-    else:
-        inputs.update({"pos": args.pos, "neg": args.neg})
     _write_manifest(out_dir, "evaluate",
-                    {"algorithm": kind.value, "seed": seed, "n_docs": len(ds)},
+                    {"algorithm": kind.value, "seed": args.seed, "n_docs": len(ds)},
                     inputs, [out_path])
     print(f"{kind.value}: acc {metrics.accuracy:.2f} prec {metrics.precision:.2f} "
           f"rec {metrics.recall:.2f} f1 {metrics.f1:.2f} kappa {metrics.kappa:.2f}")
     return 0
 
 
-def cmd_experiment(args, cfg: RunConfig) -> int:
-    if not cfg.experiments:
+def cmd_experiment(args) -> int:
+    if not args.experiments:
         raise ValueError(
             "no experiments defined; put an 'experiments' list in the config file"
         )
+    inputs = _hash_inputs({"config": args.config} if args.config else {})
     base_dir = os.path.dirname(os.path.abspath(args.config)) if args.config else "."
-    out_dir = _out_dir(args, cfg)
-    min_df = _pick(args.min_df, cfg.min_df, 2)
+    out_dir = _out_dir(args)
     artifacts = []
-    for spec in cfg.experiments:
+    for spec in args.experiments:
         try:
-            report = evaluation.run_experiment(spec, base_dir=base_dir, min_df=min_df)
+            report = evaluation.run_experiment(spec, base_dir=base_dir, min_df=args.min_df)
         except (ValueError, FileNotFoundError) as exc:
             raise DataError(f"experiment {spec.name!r}: {exc}") from None
         stem = os.path.join(out_dir, spec.name)
@@ -440,24 +428,23 @@ def cmd_experiment(args, cfg: RunConfig) -> int:
         print(table, end="")
     _write_manifest(
         out_dir, "experiment",
-        {"experiments": [s.name for s in cfg.experiments], "min_df": min_df},
-        {"config": args.config} if args.config else {}, artifacts,
+        {"experiments": [s.name for s in args.experiments], "min_df": args.min_df},
+        inputs, artifacts,
     )
     return 0
 
 
-def cmd_synth(args, cfg: RunConfig) -> int:
-    seed = _seed(args, cfg)
+def cmd_synth(args) -> int:
     try:
         spec = synthgen.SynthSpec(
             n_docs=args.n, vocab_core=args.vocab_core, vocab_shared=args.vocab_shared,
             overlap_weight=args.overlap, doc_len_min=args.doc_len_min,
-            doc_len_max=args.doc_len_max, seed=seed, zipf=args.zipf,
+            doc_len_max=args.doc_len_max, seed=args.seed, zipf=args.zipf,
         )
     except ValueError as exc:
         raise ValueError(f"invalid synth parameters: {exc}") from None
     pos, neg, gt = synthgen.generate(spec)
-    out_dir = _out_dir(args, cfg)
+    out_dir = _out_dir(args)
     pos_path = os.path.join(out_dir, "pos.jsonl")
     neg_path = os.path.join(out_dir, "neg.jsonl")
     gt_path = os.path.join(out_dir, "ground_truth.json")
@@ -465,15 +452,15 @@ def cmd_synth(args, cfg: RunConfig) -> int:
     corpus.write_jsonl(pos, pos_path)
     corpus.write_jsonl(neg, neg_path)
     synthgen.write_ground_truth(gt, gt_path)
-    ds, _ = corpus.build_balanced(pos, neg, seed=derive_seed(seed, "synth", "dataset"))
+    ds, _ = corpus.build_balanced(pos, neg, seed=derive_seed(args.seed, "synth", "dataset"))
     corpus.write_dataset(ds, ds_path)
     _write_manifest(
         out_dir, "synth",
         {"n": args.n, "overlap": args.overlap, "vocab_core": args.vocab_core,
          "vocab_shared": args.vocab_shared, "doc_len": [args.doc_len_min, args.doc_len_max],
-         "zipf": args.zipf, "seed": seed,
+         "zipf": args.zipf, "seed": args.seed,
          "dataset_fingerprint": corpus.dataset_fingerprint(ds)},
-        {}, [pos_path, neg_path, gt_path, ds_path],
+        _hash_inputs({}), [pos_path, neg_path, gt_path, ds_path],
     )
     print(f"generated {len(pos)}+{len(neg)} comments -> {out_dir}")
     return 0
@@ -574,8 +561,9 @@ def build_parser() -> _Parser:
     p.add_argument("--hate", required=True, help="hate corpus JSONL")
     p.add_argument("--contrast", required=True,
                    help="background (chi2_i) or support (chi2_ii) corpus JSONL")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--min-df", dest="min_df", type=int, default=None)
+    p.add_argument("--k", dest="keyword_k", metavar="K", type=int, default=None)
+    p.add_argument("--min-df", dest="keyword_min_df", metavar="MIN_DF", type=int,
+                   default=None)
     p.add_argument("--target-group", default="")
     _add_platform(p)
     _add_prep_flags(p)
@@ -627,11 +615,9 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         print("commhate: error: a subcommand is required", file=sys.stderr)
         return 1
-    cfg = RunConfig()
     try:
-        if args.config:
-            cfg = load_run_config(args.config)
-        return args.func(args, cfg)
+        _resolve(args, load_run_config(args.config) if args.config else {})
+        return args.func(args)
     except DataError as exc:
         print(f"commhate: data error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ import io
 import json
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from . import atomic
@@ -33,7 +33,7 @@ from .corpus import (
     load_dataset,
 )
 from .seeding import derive_seed
-from .vectorizer import CsrBatch, TfidfModel, fit_tfidf, model_fingerprint
+from .vectorizer import DEFAULT_MIN_DF, CsrBatch, TfidfModel, fit_tfidf, model_fingerprint
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -213,13 +213,12 @@ def train_and_eval(
     test_ds: LabeledDataset,
     kind: Algorithm,
     seed: int,
-    min_df: int = 2,
-    base_config: TrainConfig | None = None,
+    min_df: int = DEFAULT_MIN_DF,
 ) -> tuple[EvalMetrics, str]:
     """Fit the vectorizer on the training split only, train one classifier,
     and score the test split. Returns (metrics, vectorizer fingerprint)."""
     vec = fit_tfidf(train_ds.documents, min_df=min_df)
-    cfg = replace(base_config or TrainConfig(), algorithm=kind, seed=seed)
+    cfg = TrainConfig(algorithm=kind, seed=seed)
     model = train(vectors_for(kind, vec, train_ds.documents), train_ds.labels, cfg)
     predicted = model.predict_all(vectors_for(kind, vec, test_ds.documents))
     return compute_metrics(predicted, test_ds.labels), model_fingerprint(vec)
@@ -239,8 +238,7 @@ def cross_validate(
     k: int,
     kinds: Sequence[Algorithm],
     seed: int = 0,
-    min_df: int = 2,
-    base_config: TrainConfig | None = None,
+    min_df: int = DEFAULT_MIN_DF,
 ) -> dict[Algorithm, CvResult]:
     """Stratified k-fold CV with a fresh vectorizer per fold (train side
     only, so folds cannot leak vocabulary into each other)."""
@@ -259,7 +257,6 @@ def cross_validate(
                 kind,
                 seed=derive_seed(seed, "cv", kind.value, fold_index),
                 min_df=min_df,
-                base_config=base_config,
             )
             fold_metrics.append(m)
             fingerprints.append(fp)
@@ -372,8 +369,7 @@ def _dataset_entry(path: str, ds: LabeledDataset) -> dict:
 def run_experiment(
     spec: ExperimentSpec,
     base_dir: str = ".",
-    min_df: int = 2,
-    base_config: TrainConfig | None = None,
+    min_df: int = DEFAULT_MIN_DF,
 ) -> dict:
     """Execute one experiment and return the full report as plain data.
 
@@ -395,10 +391,7 @@ def run_experiment(
         "results": {},
     }
     if spec.cv_k is not None:
-        cv = cross_validate(
-            train_ds, spec.cv_k, spec.kinds, seed=spec.seed,
-            min_df=min_df, base_config=base_config,
-        )
+        cv = cross_validate(train_ds, spec.cv_k, spec.kinds, seed=spec.seed, min_df=min_df)
         for kind, res in cv.items():
             report["results"][kind.value] = {
                 "mode": f"cv:{spec.cv_k}",
@@ -419,8 +412,7 @@ def run_experiment(
     for kind in sorted(set(spec.kinds), key=lambda a: a.value):
         m, fp = train_and_eval(
             train_ds, test_ds, kind,
-            seed=derive_seed(spec.seed, "holdout", kind.value),
-            min_df=min_df, base_config=base_config,
+            seed=derive_seed(spec.seed, "holdout", kind.value), min_df=min_df,
         )
         report["results"][kind.value] = {
             "mode": "holdout",

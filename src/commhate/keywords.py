@@ -17,7 +17,6 @@ preprocessing; no stemming, no substrings.
 
 from __future__ import annotations
 
-import json
 import random
 import warnings
 from dataclasses import dataclass
@@ -197,27 +196,8 @@ def keyword_set_to_dict(ks: KeywordSet) -> dict:
     }
 
 
-def keyword_set_from_dict(obj: dict) -> KeywordSet:
-    if obj.get("version") != KEYWORD_SCHEMA_VERSION:
-        raise ValueError(f"unsupported keyword schema version: {obj.get('version')!r}")
-    return KeywordSet(
-        method=KeywordMethod(obj["method"]),
-        target_group=str(obj.get("target_group", "")),
-        terms=tuple((str(e["term"]), float(e["score"])) for e in obj["terms"]),
-    )
-
-
 def save_keyword_set(ks: KeywordSet, path: str) -> None:
     atomic.write_json(path, keyword_set_to_dict(ks))
-
-
-def load_keyword_set(path: str) -> KeywordSet:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-    return keyword_set_from_dict(obj)
 
 
 def format_keyword_list(ks: KeywordSet) -> str:

@@ -21,6 +21,7 @@ import numpy as np
 from . import atomic
 
 SCHEMA_VERSION = 1
+DEFAULT_MIN_DF = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +125,7 @@ class TfidfModel:
         return CsrBatch(counts.indptr, counts.indices, weights / norms[rows], self.dim)
 
 
-def fit_tfidf(documents: Iterable[Sequence[str]], min_df: int = 2) -> TfidfModel:
+def fit_tfidf(documents: Iterable[Sequence[str]], min_df: int = DEFAULT_MIN_DF) -> TfidfModel:
     """Fit a tf-idf model on tokenized documents.
 
     df counts document presence, not term occurrences. Terms with

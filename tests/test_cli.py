@@ -1,13 +1,17 @@
 import gzip
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from commhate import cli
+from commhate import cli, evaluation, textprep
 
 try:
     import tomllib
@@ -163,6 +167,16 @@ class TestIngest:
         code = _run(["ingest", "--input", str(tmp_path / "absent.jsonl")])
         assert code == 2
 
+    def test_in_place_ingest_records_the_input_hash(self, tmp_path, capsys):
+        src = tmp_path / "r.jsonl"
+        _write_jsonl(src, _reddit_rows("alpha", ["first body", "second body"], "r"))
+        before = hashlib.sha256(src.read_bytes()).hexdigest()
+        assert _run(["ingest", "--input", str(src), "--output", "r.jsonl",
+                     "--output-dir", str(tmp_path)]) == 0
+        assert hashlib.sha256(src.read_bytes()).hexdigest() != before  # rewritten
+        manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["input_hashes"] == {str(src): before}
+
     def test_truncated_gzip_is_skipped_or_named(self, tmp_path, capsys):
         self._check_damaged_gzip(tmp_path, capsys, "truncated")
 
@@ -257,6 +271,17 @@ class TestPreprocess:
         ]
         assert all("slurone" not in r["tokens"] for r in rows)
         assert any("slurtwo" in r["tokens"] for r in rows)
+
+    def test_non_utf8_stopwords_is_data_error(self, corpora, tmp_path, capsys):
+        pos, _ = corpora
+        stop = tmp_path / "stop.txt"
+        stop.write_bytes(b"the\n\xff\xfe\n")
+        out_dir = tmp_path / "prep3"
+        assert _run(["preprocess", "--input", str(pos), "--stopwords", str(stop),
+                     "--output-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"commhate: data error: {stop}: stopword list is not valid UTF-8")
+        assert not (out_dir / "tokens.jsonl").exists()
 
 
 class TestTopicsAndKeywords:
@@ -513,25 +538,99 @@ class TestExperimentCommand:
         assert code == 2
 
 
+@pytest.fixture(scope="module")
+def setting_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("settings")
+    assert _run(["synth", "--n", "20", "--vocab-core", "4", "--vocab-shared", "4",
+                 "--output-dir", str(root)]) == 0
+    (root / "one.txt").write_text("the\n", encoding="utf-8")
+    (root / "three.txt").write_text("a\nb\nc\n", encoding="utf-8")
+    return root
+
+
+def _param(*path):
+    """Reader of one manifest param; None when the run wrote no manifest."""
+    def read(run_dir):
+        manifest = run_dir / "manifest.json"
+        if not manifest.exists():
+            return None
+        value = json.loads(manifest.read_text(encoding="utf-8"))["params"]
+        for key in path:
+            value = value[key]
+        return value
+    return read
+
+
+def _manifest_dir(run_dir):
+    return next((d for d in ("flagdir", "cfgdir", ".")
+                 if (run_dir / d / "manifest.json").exists()), None)
+
+
+def _setting_cases(d):
+    """Per setting id: argv, the flag (None if there is none), the config,
+    the value read back under (flag + config, config only, neither), and
+    the reader. Defaults are written out as literals, so that a default
+    moved in the library fails here."""
+    synth = ["synth", "--n", "10", "--vocab-core", "3", "--vocab-shared", "3"]
+    train = ["train", "--dataset", str(d / "dataset.jsonl"), "--min-df", "1"]
+    topics = ["topics", "--pos", str(d / "pos.jsonl"), "--neg", str(d / "neg.jsonl")]
+    kw = ["keywords", "--method", "chi2_i", "--hate", str(d / "pos.jsonl"),
+          "--contrast", str(d / "neg.jsonl")]
+    return {
+        "seed": (synth, ["--seed", "9"], {"seed": 5}, (9, 5, 0), _param("seed")),
+        "output_dir": (synth, ["--output-dir", "flagdir"], {"output_dir": "cfgdir"},
+                       ("flagdir", "cfgdir", "."), _manifest_dir),
+        "min_df": (["train", "--dataset", str(d / "dataset.jsonl")], ["--min-df", "3"],
+                   {"min_df": 1, "keywords": {"min_df": 4}}, (3, 1, 2), _param("min_df")),
+        "stopwords_path": (["preprocess", "--input", str(d / "pos.jsonl")],
+                           ["--stopwords", str(d / "one.txt")],
+                           {"stopwords_path": str(d / "three.txt")},
+                           (1, 3, len(textprep.default_config().stopwords)),
+                           _param("stopwords")),
+        "experiments": (["experiment"], None,
+                        {"experiments": [{"name": "e", "test_source": "cv:2", "kinds": ["nb"],
+                                          "train_source": str(d / "dataset.jsonl")}]},
+                        (None, ["e"], None), _param("experiments")),
+        "train.l2_lambda": (train, ["--l2-lambda", "0.01"], {"train": {"l2_lambda": 1}},
+                            (0.01, 1.0, 1e-4), _param("l2_lambda")),
+        "train.epochs": (train, ["--epochs", "2"], {"train": {"epochs": 3}}, (2, 3, 20),
+                         _param("epochs")),
+        "train.learning_rate": (train, ["--learning-rate", "0.2"],
+                                {"train": {"learning_rate": 1}}, (0.2, 1.0, 0.1),
+                                _param("learning_rate")),
+        "train.nb_alpha": (train, ["--nb-alpha", "0.5"], {"train": {"nb_alpha": 2}},
+                           (0.5, 2.0, 1.0), _param("nb_alpha")),
+        "llda.beta": (topics, ["--beta", "0.5"], {"llda": {"beta": 2}}, (0.5, 2.0, 0.1),
+                      _param("llda", "beta")),
+        "keywords.k": (kw, ["--k", "3"], {"keywords": {"k": 6}}, (3, 6, 30), _param("k")),
+        "keywords.min_df": (kw, ["--min-df", "3"], {"keywords": {"min_df": 1}, "min_df": 4},
+                            (3, 1, 5), _param("min_df")),
+    }
+
+
+def _setting_id(row):
+    section, key = row[:2]
+    return f"{section}.{key}" if section else key
+
+
 class TestConfigPrecedence:
-    def test_flag_beats_config_beats_default(self, tmp_path, capsys):
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({"seed": 5}), encoding="utf-8")
-        dirs = {name: tmp_path / name for name in ("flag", "plain", "config", "five")}
-        args = ["synth", "--n", "10", "--vocab-core", "3", "--vocab-shared", "3"]
-        assert _run(args + ["--config", str(config), "--seed", "9",
-                            "--output-dir", str(dirs["flag"])]) == 0
-        assert _run(args + ["--seed", "9", "--output-dir", str(dirs["plain"])]) == 0
-        assert _run(args + ["--config", str(config),
-                            "--output-dir", str(dirs["config"])]) == 0
-        assert _run(args + ["--seed", "5", "--output-dir", str(dirs["five"])]) == 0
-
-        def body(d):
-            return (d / "pos.jsonl").read_text(encoding="utf-8")
-
-        assert body(dirs["flag"]) == body(dirs["plain"])      # flag wins over config
-        assert body(dirs["config"]) == body(dirs["five"])     # config wins over default
-        assert body(dirs["flag"]) != body(dirs["config"])
+    @pytest.mark.filterwarnings("ignore:requested 30 keywords")
+    @pytest.mark.parametrize("row", cli._SETTINGS, ids=_setting_id)
+    def test_flag_beats_config_beats_default(self, row, setting_inputs, tmp_path,
+                                             monkeypatch, capsys):
+        argv, flag, config, expected, read = _setting_cases(setting_inputs)[_setting_id(row)]
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        runs = {"config": argv + ["--config", str(path)], "default": argv}
+        if flag:
+            runs["flag"] = argv + flag + ["--config", str(path)]
+        want = dict(zip(("flag", "config", "default"), expected))
+        for name, run_argv in runs.items():
+            run_dir = tmp_path / name
+            run_dir.mkdir()
+            monkeypatch.chdir(run_dir)  # the default output dir is "."
+            assert _run(run_argv) == (1 if want[name] is None else 0), name
+            assert repr(read(run_dir)) == repr(want[name]), name  # 1.0 is not 1
 
     def test_unknown_config_keys_rejected(self, tmp_path, capsys):
         config = tmp_path / "run.json"
@@ -586,7 +685,7 @@ class TestConfigPrecedence:
         path.write_text(json.dumps({"train": {"l2_lambda": 1}, "llda": {"beta": 2}}),
                         encoding="utf-8")
         cfg = cli.load_run_config(str(path))
-        assert (cfg.train, cfg.llda) == ({"l2_lambda": 1}, {"beta": 2})
+        assert (cfg["l2_lambda"], cfg["beta"]) == (1, 2)
 
     def test_malformed_config_exits_two(self, tmp_path, capsys):
         config = tmp_path / "run.json"
@@ -594,6 +693,20 @@ class TestConfigPrecedence:
         code = _run(["synth", "--n", "10", "--config", str(config),
                      "--output-dir", str(tmp_path / "o")])
         assert code == 2
+
+    @pytest.mark.parametrize("data,reason", [
+        (b'{"seed": 1, "output_dir": "\xff"}', "'utf-8' codec can't decode"),
+        (b"[" * 100_000, "maximum recursion depth exceeded"),
+    ], ids=["non-utf8", "deep-nesting"])
+    def test_undecodable_config_exits_two(self, tmp_path, capsys, data, reason):
+        config = tmp_path / "run.json"
+        config.write_bytes(data)
+        code = _run(["synth", "--n", "10", "--config", str(config),
+                     "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"commhate: data error: {config}: not valid JSON: {reason}")
+        assert not (tmp_path / "o").exists()
 
     def test_train_section_applies(self, tmp_path, capsys):
         synth_dir = tmp_path / "synth"
@@ -607,3 +720,72 @@ class TestConfigPrecedence:
                      "--output-dir", str(out_dir)]) == 0
         manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["params"]["epochs"] == 3
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _typed(typ):
+    """Values of the JSON type ``typ`` most of the time, anything otherwise."""
+    return {int: st.integers(), float: st.floats() | st.integers(),
+            str: st.text(max_size=8), list: st.lists(_JSON, max_size=2)}[typ] | _JSON
+
+
+def _object(values: dict):
+    """A JSON object over some of the keys of ``values``, now and then with
+    unknown keys besides."""
+    return st.builds(lambda known, unknown: {**unknown, **known},
+                     st.fixed_dictionaries({}, optional=values),
+                     st.just({}) | st.dictionaries(st.text(max_size=6), _JSON, max_size=2))
+
+
+_SPEC_EXTRAS = st.sampled_from(["cv:2", "cv:1", "cv:x", "d.jsonl"]) | st.lists(
+    st.sampled_from(["nb", "lr", "svm", "knn"]), max_size=3)
+_EXPERIMENT = _object({k: _typed(t) | _SPEC_EXTRAS for k, t in evaluation._SPEC_TYPES.items()})
+_SECTIONS: dict = {}
+for _section, _key, _type, *_ in cli._SETTINGS:
+    if _section:
+        _SECTIONS.setdefault(_section, {})[_key] = _typed(_type)
+_CONFIGS = _object({
+    **{key: _typed(typ) for sec, key, typ, *_ in cli._SETTINGS if sec is None},
+    **{sec: _object(values) | _JSON for sec, values in _SECTIONS.items()},
+    "experiments": st.lists(_EXPERIMENT, max_size=3) | _JSON,
+})
+
+
+def _check_config_bytes(data: bytes) -> None:
+    """load_run_config either returns table-typed settings or raises a
+    ValueError/DataError whose message starts with the path."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "run.json")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            cfg = cli.load_run_config(path)
+        except (ValueError, cli.DataError) as exc:
+            assert str(exc).startswith(f"{path}: ")
+            return
+    types = {dest: typ for _sec, _key, typ, dest, _default in cli._SETTINGS}
+    for dest, value in cfg.items():
+        if dest == "experiments":
+            assert all(isinstance(e, evaluation.ExperimentSpec) for e in value)
+        else:
+            want = (int, float) if types[dest] is float else types[dest]
+            assert isinstance(value, want) and not isinstance(value, bool), (dest, value)
+
+
+class TestConfigFuzz:
+    @given(st.binary(max_size=40) | _JSON.map(lambda v: json.dumps(v).encode()))
+    @settings(max_examples=100, deadline=None)
+    def test_arbitrary_bytes(self, data):
+        _check_config_bytes(data)
+
+    @given(_CONFIGS)
+    @settings(max_examples=150, deadline=None)
+    def test_arbitrary_objects_over_the_settings_keys(self, obj):
+        _check_config_bytes(json.dumps(obj).encode())
