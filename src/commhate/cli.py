@@ -60,6 +60,8 @@ def load_run_config(path: str) -> dict:
             obj = json.load(fh)
     except FileNotFoundError:
         raise DataError(f"config file not found: {path}") from None
+    except OSError as exc:  # a directory, no permission, an I/O error
+        raise DataError(f"{path}: cannot read config: {exc.strerror or exc}") from None
     except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or nesting
         raise DataError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
@@ -268,6 +270,7 @@ def cmd_topics(args) -> int:
 def cmd_keywords(args) -> int:
     prep = _prep_config(args)
     method = keywords.KeywordMethod(args.method)
+    llda_cfg = topics.LldaConfig(beta=args.beta, seed=derive_seed(args.seed, "keywords"))
     hate = _load_corpus(args.hate, corpus.Platform(args.platform))
     contrast = _load_corpus(args.contrast, corpus.Platform(args.platform))
     inputs = _hash_inputs({"hate": args.hate, "contrast": args.contrast})
@@ -277,8 +280,7 @@ def cmd_keywords(args) -> int:
             _tokenize_corpus(hate, prep),
             _tokenize_corpus(contrast, prep),
             k=args.keyword_k, target_group=args.target_group, min_df=args.keyword_min_df,
-            llda_config=topics.LldaConfig(beta=args.beta,
-                                          seed=derive_seed(args.seed, "keywords")),
+            llda_config=llda_cfg,
         )
     except ValueError as exc:
         raise DataError(str(exc)) from None

@@ -51,14 +51,20 @@ class Comment:
     deleted: bool = False
 
     def __post_init__(self):
-        if not self.id:
-            raise ValueError("comment id must be non-empty")
-        if not self.community:
-            raise ValueError(f"comment {self.id!r}: community must be non-empty")
-        if self.body in _DELETED_SENTINELS and not self.deleted:
+        if _checked_deleted(self.id, self.body, self.community, self.deleted):
             object.__setattr__(self, "deleted", True)
-        if not self.body and not self.deleted:
-            raise ValueError(f"comment {self.id!r}: empty body on a non-deleted record")
+
+
+def _checked_deleted(cid: str, body: str, community: str, deleted: bool) -> bool:
+    """The deleted flag of a Comment with these fields; ValueError if none may."""
+    if not cid:
+        raise ValueError("comment id must be non-empty")
+    if not community:
+        raise ValueError(f"comment {cid!r}: community must be non-empty")
+    deleted = deleted or body in _DELETED_SENTINELS
+    if not body and not deleted:
+        raise ValueError(f"comment {cid!r}: empty body on a non-deleted record")
+    return deleted
 
 
 @dataclass(frozen=True)
@@ -128,8 +134,11 @@ _COMMUNITY_KEYS = ("community", "subreddit", "subverse", "board")
 _CREATED_KEYS = ("created_at", "created_utc")
 
 
-def comment_from_record(obj: dict, platform: Platform) -> Comment:
-    """Map one parsed JSONL record to a Comment. Raises ValueError if malformed."""
+def comment_from_record(obj: dict, platform: Platform,
+                        communities: set[str] | None = None) -> Comment | None:
+    """Map one parsed JSONL record to a Comment. Raises ValueError if malformed.
+    A record outside ``communities`` (if given) is checked the same way but
+    maps to None, with no Comment built."""
     if not isinstance(obj, dict):
         raise ValueError("record is not a JSON object")
     community = ""
@@ -149,9 +158,13 @@ def comment_from_record(obj: dict, platform: Platform) -> Comment:
     body = obj.get("body")
     if body is None:
         raise ValueError("record has no body field")
+    cid, body = str(obj.get("id") or ""), str(body)
+    if communities is not None and community not in communities:
+        _checked_deleted(cid, body, community, False)
+        return None
     return Comment(
-        id=str(obj.get("id") or ""),
-        body=str(body),
+        id=cid,
+        body=body,
         community=community,
         platform=platform,
         created_at=created,
@@ -191,14 +204,14 @@ def iter_jsonl(
                     line = raw.decode("utf-8")
                     if not line.strip():
                         continue
-                    comment = comment_from_record(json.loads(line), platform)
-                except (ValueError, TypeError) as exc:
+                    comment = comment_from_record(json.loads(line), platform, community_filter)
+                except (ValueError, TypeError, RecursionError) as exc:
                     if strict:
                         raise ValueError(f"{path}:{lineno}: malformed record: {exc}") from exc
                     if on_skip is not None:
                         on_skip(lineno)
                     continue
-                if community_filter is None or comment.community in community_filter:
+                if comment is not None:
                     yield comment
         except (EOFError, zlib.error, gzip.BadGzipFile) as exc:  # cut or corrupt .gz
             if strict:

@@ -1,10 +1,11 @@
 """Deterministic text normalization and tokenization.
 
-The pipeline applies, in this fixed order: URL removal, lowercasing,
-punctuation-to-space replacement, digit removal, whitespace tokenization,
-stopword removal. URL removal runs first because punctuation stripping
-would destroy URL structure; punctuation becomes a space (not deleted) so
-"don't" splits into the stopwords "don" and "t" instead of merging.
+The pipeline applies, in this fixed order: URL removal, lowercasing, one
+per-character table (punctuation to a space, then numeric characters
+deleted), whitespace tokenization, stopword removal. URL removal runs first
+because punctuation stripping would destroy URL structure; punctuation
+becomes a space (not deleted) so "don't" splits into the stopwords "don"
+and "t" instead of merging.
 
 The stopword list ships with the package (data/stopwords.txt, one term per
 line) so results are reproducible without any external resource.
@@ -22,11 +23,23 @@ from importlib import resources
 _URL_RE = re.compile(
     r"(?i)\b(?:https?://\S+|www\.\S+|[a-z0-9][a-z0-9.\-]*\.[a-z]{2,}/\S*)"
 )
-# Any non-word non-space character is punctuation; underscore counts too.
-# \w keeps Unicode letters, so non-ASCII text degrades gracefully while
-# emoji and symbols are stripped.
-_PUNCT_RE = re.compile(r"[^\w\s]|_")
-_DIGIT_RE = re.compile(r"\d+")
+
+
+class _CharTable(dict):
+    """``str.translate`` table filled per code point on first sight. Anything
+    neither ``isalnum`` nor ``isspace`` is punctuation (the underscore too)
+    and becomes a space; numeric characters are deleted; the rest are kept."""
+
+    def __missing__(self, code: int):
+        ch = chr(code)
+        if not (ch.isalnum() or ch.isspace()):
+            self[code] = " "
+        else:
+            self[code] = None if ch.isnumeric() else code
+        return self[code]
+
+
+_CHARS = _CharTable()
 
 
 @lru_cache(maxsize=1)
@@ -59,13 +72,9 @@ def preprocess(body: str, config: PreprocessConfig | None = None) -> list[str]:
     digits, or the config's stopwords.
     """
     cfg = config or default_config()
-    text = _URL_RE.sub(" ", body).lower()
-    text = _DIGIT_RE.sub("", _PUNCT_RE.sub(" ", text))
-    # \d only covers decimal digits; superscripts, fractions and other
-    # numeric characters are word chars and need the slow per-char path.
-    tokens = [
-        tok if tok.isascii() else "".join(c for c in tok if not c.isnumeric())
-        for tok in text.split()
-    ]
-    return [tok for tok in tokens if tok and tok not in cfg.stopwords]
-
+    text = body.lower()
+    # Every _URL_RE alternative needs a "/" or a "www.".
+    if "/" in body or "www." in text:
+        text = _URL_RE.sub(" ", body).lower()
+    stopwords = cfg.stopwords
+    return [tok for tok in text.translate(_CHARS).split() if tok not in stopwords]

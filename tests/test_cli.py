@@ -223,7 +223,8 @@ class TestIngest:
     @pytest.mark.parametrize("bad", [
         b"\xff\xfe\n",
         b'{"id": "x", "body": "b", "subreddit": "alpha", "created_utc": 1e400}\n',
-    ], ids=["invalid-utf8", "inf-timestamp"])
+        b"[" * 100_000 + b"\n",
+    ], ids=["invalid-utf8", "inf-timestamp", "deep-nesting"])
     def test_bad_line_is_skipped_or_named(self, tmp_path, capsys, bad):
         rows = [json.dumps(r).encode() + b"\n"
                 for r in _reddit_rows("alpha", ["keep me", "me too"], "a")]
@@ -326,6 +327,20 @@ class TestTopicsAndKeywords:
         code = _run(["topics", "--pos", str(pos), "--neg", str(empty),
                      "--output-dir", str(tmp_path / "t2")])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["topics", "--pos", "{pos}", "--neg", "{neg}"],
+        ["keywords", "--method", "chi2_i", "--hate", "{pos}", "--contrast", "{neg}"],
+        ["keywords", "--method", "llda", "--hate", "{pos}", "--contrast", "{neg}"],
+    ], ids=["topics", "keywords-chi2_i", "keywords-llda"])
+    def test_invalid_beta_is_config_error(self, corpora, tmp_path, capsys, argv):
+        pos, neg = corpora
+        argv = [a.format(pos=pos, neg=neg) for a in argv]
+        out_dir = tmp_path / "out"
+        code = _run(argv + ["--beta", "0", "--output-dir", str(out_dir)])
+        assert code == 1
+        assert capsys.readouterr().err == "commhate: error: beta must be positive and finite\n"
+        assert not out_dir.exists()
 
 
 class TestSynthTrainEvaluate:
@@ -693,6 +708,17 @@ class TestConfigPrecedence:
         code = _run(["synth", "--n", "10", "--config", str(config),
                      "--output-dir", str(tmp_path / "o")])
         assert code == 2
+
+    def test_config_directory_exits_two(self, tmp_path, capsys):
+        config = tmp_path / "cdir"
+        config.mkdir()
+        code = _run(["synth", "--n", "5", "--config", str(config),
+                     "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"commhate: data error: {config}: cannot read config: ")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("data,reason", [
         (b'{"seed": 1, "output_dir": "\xff"}', "'utf-8' codec can't decode"),

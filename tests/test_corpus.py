@@ -1,6 +1,9 @@
 import gzip
 import json
+import os
 import random
+import re
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -72,6 +75,26 @@ class TestRecordMapping:
                 {"id": "1", "body": "hi", "subreddit": "x", "created_utc": float("inf")},
                 Platform.REDDIT,
             )
+
+    @pytest.mark.parametrize("record", [
+        {"id": "", "body": "hi", "subreddit": "out"},
+        {"id": "1", "body": "", "subreddit": "out"},
+        {"id": "1", "body": "hi", "subreddit": ""},
+        {"id": "1", "body": "hi", "subreddit": "out", "created_utc": [1]},
+        {"id": "1", "subreddit": "out"},
+    ], ids=["empty-id", "empty-body", "empty-community", "list-timestamp", "no-body"])
+    def test_record_outside_filter_is_checked_like_any_other(self, record):
+        with pytest.raises((ValueError, TypeError)) as unfiltered:
+            corpus.comment_from_record(record, Platform.REDDIT)
+        with pytest.raises(type(unfiltered.value), match=re.escape(str(unfiltered.value))):
+            corpus.comment_from_record(record, Platform.REDDIT, {"in"})
+
+    def test_wellformed_record_outside_filter_maps_to_none(self):
+        for body in ("hi", "[deleted]"):
+            record = {"id": "1", "body": body, "subreddit": "out"}
+            assert corpus.comment_from_record(record, Platform.REDDIT, {"in"}) is None
+            kept = corpus.comment_from_record(record, Platform.REDDIT, {"out"})
+            assert kept == corpus.comment_from_record(record, Platform.REDDIT)
 
 
 class TestJsonlIO:
@@ -227,6 +250,74 @@ class TestJsonlIO:
         sl, skipped = corpus.load_jsonl(str(p))
         assert [(c.id, c.body) for c in sl.comments] == [("1", "a"), ("2", "b\u00e9")]
         assert skipped == 0
+
+
+_BIG = "__1e400__"  # stands for the JSON number 1e400, which parses as inf
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _mostly(*good):
+    """One of ``good`` three times in four, any JSON value otherwise."""
+    return st.one_of(*[st.sampled_from(good)] * 3, _JSON)
+
+
+def _drop(record, key):
+    record.pop(key, None)
+    return json.dumps(record).replace(f'"{_BIG}"', "1e400").encode()
+
+
+_RECORDS = st.builds(
+    _drop,
+    st.fixed_dictionaries(
+        {"id": _mostly("1", "x", ""), "body": _mostly("hi", "", "[deleted]", "[removed]"),
+         "subreddit": _mostly("a", "b", "c", "")},
+        optional={"community": _mostly("a", "b"), "author": _mostly("u", ""),
+                  "created_utc": _mostly(1, _BIG, [1], "7", None)},
+    ),
+    st.sampled_from([None, None, None, "id", "body", "subreddit"]),
+)
+_LINES = st.lists(
+    _RECORDS | _JSON.map(lambda v: json.dumps(v).encode()) | st.binary(max_size=12)
+    | st.sampled_from([b"", b"  ", b"[" * 100_000, b"{broken"]),
+    max_size=8,
+)
+
+
+def _scan(path, communities=None, strict=False):
+    """(comments, skipped line numbers, strict-mode error or None)."""
+    skipped = []
+    try:
+        kept = list(corpus.iter_jsonl(path, communities, strict=strict,
+                                      on_skip=skipped.append))
+    except ValueError as exc:
+        assert strict
+        return None, skipped, str(exc)
+    return kept, skipped, None
+
+
+class TestIngestFilterFuzz:
+    @given(_LINES, st.sets(st.sampled_from(["a", "b", "c", "d"])))
+    @settings(max_examples=200, deadline=None)
+    def test_filter_matches_unfiltered_scan(self, lines, communities):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "dump.jsonl")
+            with open(path, "wb") as fh:
+                fh.write(b"\n".join(line.replace(b"\n", b" ") for line in lines))
+            kept, skipped, _ = _scan(path)
+            kept_f, skipped_f, _ = _scan(path, communities)
+            assert skipped_f == skipped
+            assert kept_f == [c for c in kept if c.community in communities]
+            for filt in (None, communities):
+                strict_kept, _, error = _scan(path, filt, strict=True)
+                if skipped:
+                    assert error.startswith(f"{path}:{skipped[0]}: malformed record: ")
+                else:
+                    assert strict_kept == (kept if filt is None else kept_f)
 
 
 class TestSampling:

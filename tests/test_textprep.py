@@ -1,10 +1,38 @@
+import re
 import string
+import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commhate import textprep
+
+# Reference built from regexes: URL removal, lowercasing, punctuation and
+# underscore to space, decimal digits deleted, then any other numeric
+# characters deleted per token. preprocess must give the same tokens.
+_PUNCT_RE = re.compile(r"[^\w\s]|_")
+_DIGIT_RE = re.compile(r"\d+")
+
+
+def _reference(body, cfg):
+    text = textprep._URL_RE.sub(" ", body).lower()
+    text = _DIGIT_RE.sub("", _PUNCT_RE.sub(" ", text))
+    tokens = [
+        tok if tok.isascii() else "".join(c for c in tok if not c.isnumeric())
+        for tok in text.split()
+    ]
+    return [tok for tok in tokens if tok and tok not in cfg.stopwords]
+
+
+# Fragments that steer the URL guard, the table's three outcomes and the
+# case mappings that change length or depend on context.
+_FRAGMENTS = st.sampled_from([
+    "http://", "HTTPS://", "www.", "WWW.", "/", ".com", "a.b/", "_", "0", "42",
+    "\u00bd", "\u00b2", "\u0663", "\x1c", "\x1d", "\x1e", "\x1f", "\u03a3",
+    "\u0130", "\u017f", "\u212a", "\u2026", " ", "\n", "the", "Cat",
+])
+_BODIES = st.lists(_FRAGMENTS | st.text(max_size=6), max_size=16).map("".join)
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +110,27 @@ class TestPreprocessProperties:
     def test_deterministic(self, body):
         cfg = textprep.default_config()
         assert textprep.preprocess(body, cfg) == textprep.preprocess(body, cfg)
+
+
+class TestReferenceOracle:
+    @given(_BODIES)
+    @settings(max_examples=500, deadline=None)
+    def test_matches_regex_pipeline(self, body):
+        cfg = textprep.default_config()
+        assert textprep.preprocess(body, cfg) == _reference(body, cfg)
+
+    def test_every_code_point_matches_regex_pipeline(self, monkeypatch):
+        # A fresh table, so the one the module keeps does not end up
+        # holding every code point.
+        monkeypatch.setattr(textprep, "_CHARS", type(textprep._CHARS)())
+        cfg = textprep.default_config()
+        for start in range(0, sys.maxunicode + 1, 4096):
+            block = range(start, min(start + 4096, sys.maxunicode + 1))
+            body = "x".join(map(chr, block))
+            assert textprep.preprocess(body, cfg) == _reference(body, cfg), hex(start)
+
+    def test_numeric_characters_beyond_decimal_digits_are_deleted(self, cfg):
+        assert textprep.preprocess("cat\u00b2 dog\u00bd \u0663", cfg) == ["cat", "dog"]
 
 
 class TestStopwords:
