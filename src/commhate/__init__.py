@@ -16,7 +16,6 @@ from .corpus import (
     CorpusSlice,
     LabeledDataset,
     Platform,
-    SourceLabel,
     build_balanced,
     load_jsonl,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "LldaModel",
     "Platform",
     "PreprocessConfig",
-    "SourceLabel",
     "SynthSpec",
     "TfidfModel",
     "TrainConfig",

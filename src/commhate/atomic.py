@@ -1,10 +1,15 @@
-"""The one way artifacts reach disk: write a temp file beside the target,
-then ``os.replace`` it, so a target appears complete or not at all.
+"""The on-disk format, both directions: UTF-8 text, gzip when the name ends
+in ``.gz``, one JSON document per file or one JSON value per line.
 
-A ``.gz`` target is gzip-compressed with a zero timestamp and the target's
-own name in its header, so compressed artifacts are byte-reproducible.
-There is no fsync: the rename guards against a failed or killed run, not
-against a power cut.
+Writing goes through a temp file beside the target, then ``os.replace``, so
+a target appears complete or not at all. A ``.gz`` target is compressed with
+a zero timestamp and the target's own name in its header, so compressed
+artifacts are byte-reproducible. There is no fsync: the rename guards
+against a failed or killed run, not against a power cut.
+
+Reading raises ``FileNotFoundError`` for a missing file and ``ValueError``
+led by the path (and line) for any other fault: unreadable, bad UTF-8, bad
+JSON, nesting too deep, truncated or corrupt ``.gz``.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ import gzip
 import io
 import json
 import os
-from typing import Iterable, Iterator, TextIO
+import zlib
+from typing import Callable, Iterable, Iterator, TextIO
 
 
 @contextlib.contextmanager
@@ -62,3 +68,62 @@ def write_jsonl(path: str, rows: Iterable[dict]) -> int:
         for n, row in enumerate(rows, 1):
             fh.write(json.dumps(row, ensure_ascii=False) + "\n")
     return n
+
+
+def _open_read(path: str):
+    """``path`` opened for binary reading, gunzipped if it ends in .gz."""
+    try:
+        return gzip.open(path, "rb") if str(path).endswith(".gz") else open(path, "rb")
+    except FileNotFoundError:
+        raise
+    except OSError as exc:  # a directory, no permission, an I/O error
+        raise ValueError(f"{path}: cannot read: {exc.strerror or exc}") from None
+
+
+def read_json(path: str):
+    """The one JSON document in ``path``."""
+    with _open_read(path) as fh:
+        try:
+            return json.loads(fh.read().decode("utf-8"))
+        except (OSError, EOFError, zlib.error) as exc:  # an I/O error, a damaged .gz
+            raise ValueError(f"{path}: cannot read: {exc}") from None
+        except (ValueError, RecursionError) as exc:  # bad UTF-8, JSON or nesting
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+
+
+def read_jsonl(path: str, parse: Callable, strict: bool = False,
+               on_skip: Callable[[int], None] | None = None) -> Iterator:
+    """Stream ``parse(value)`` for each line's JSON value, dropping None.
+
+    Blank lines are skipped. A line that is not UTF-8 or JSON, or whose value
+    ``parse`` rejects with ValueError, TypeError or LookupError, is malformed:
+    lenient mode passes its 1-based number to ``on_skip`` and reads on,
+    strict mode raises naming ``path:line``. A truncated or corrupt .gz ends
+    the stream; the lines before the damage are kept and the damage is one
+    malformed line (strict mode names the last complete line).
+    """
+    with _open_read(path) as fh:
+        lineno = 0
+        try:
+            for lineno, raw in enumerate(fh, 1):
+                try:
+                    line = raw.decode("utf-8")
+                    if not line.strip():
+                        continue
+                    value = parse(json.loads(line))
+                except (ValueError, TypeError, LookupError, RecursionError) as exc:
+                    if strict:
+                        raise ValueError(f"{path}:{lineno}: malformed record: {exc}") from exc
+                    if on_skip is not None:
+                        on_skip(lineno)
+                    continue
+                if value is not None:
+                    yield value
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:  # cut or corrupt .gz
+            if strict:
+                damage = "truncated" if isinstance(exc, EOFError) else "corrupt"
+                raise ValueError(
+                    f"{path}: compressed stream {damage} after line {lineno}: {exc}"
+                ) from exc
+            if on_skip is not None:
+                on_skip(lineno + 1)

@@ -20,7 +20,6 @@ and a score of exactly zero predicts negative.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -337,11 +336,7 @@ def save_model(model: LinearModel, path: str, vectorizer_hash: str = "") -> None
 
 
 def load_model(path: str) -> tuple[LinearModel, str]:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+    obj = atomic.read_json(path)
     try:
         return model_from_dict(obj)
     except ValueError as exc:

@@ -15,8 +15,8 @@ Conventions shared by every subcommand:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
-import json
 import os
 import sys
 
@@ -56,14 +56,11 @@ def load_run_config(path: str) -> dict:
     experiments parsed into specs. Keys and types are checked against
     ``_SETTINGS``; null means unset and is left out."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+        obj = atomic.read_json(path)
     except FileNotFoundError:
         raise DataError(f"config file not found: {path}") from None
-    except OSError as exc:  # a directory, no permission, an I/O error
-        raise DataError(f"{path}: cannot read config: {exc.strerror or exc}") from None
-    except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or nesting
-        raise DataError(f"{path}: not valid JSON: {exc}") from None
+    except ValueError as exc:
+        raise DataError(str(exc)) from None
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     types: dict = {}
@@ -246,10 +243,7 @@ def cmd_topics(args) -> int:
     inputs = _hash_inputs({"pos": args.pos, "neg": args.neg})
     pos_docs = _tokenize_corpus(pos, prep)
     neg_docs = _tokenize_corpus(neg, prep)
-    try:
-        model = topics.fit_two_sides(pos_docs, neg_docs, llda_cfg)
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
+    model = topics.fit_two_sides(pos_docs, neg_docs, llda_cfg)
     report = topics.topic_report(model, args.k, ranking=args.ranking)
     out_dir = _out_dir(args)
     json_path = os.path.join(out_dir, "topics.json")
@@ -274,16 +268,13 @@ def cmd_keywords(args) -> int:
     hate = _load_corpus(args.hate, corpus.Platform(args.platform))
     contrast = _load_corpus(args.contrast, corpus.Platform(args.platform))
     inputs = _hash_inputs({"hate": args.hate, "contrast": args.contrast})
-    try:
-        ks = keywords.build_keyword_set(
-            method,
-            _tokenize_corpus(hate, prep),
-            _tokenize_corpus(contrast, prep),
-            k=args.keyword_k, target_group=args.target_group, min_df=args.keyword_min_df,
-            llda_config=llda_cfg,
-        )
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
+    ks = keywords.build_keyword_set(
+        method,
+        _tokenize_corpus(hate, prep),
+        _tokenize_corpus(contrast, prep),
+        k=args.keyword_k, target_group=args.target_group, min_df=args.keyword_min_df,
+        llda_config=llda_cfg,
+    )
     out_dir = _out_dir(args)
     json_path = os.path.join(out_dir, "keywords.json")
     txt_path = os.path.join(out_dir, "keywords.txt")
@@ -393,7 +384,7 @@ def cmd_evaluate(args) -> int:
     payload = {
         "version": evaluation.REPORT_SCHEMA_VERSION,
         "algorithm": kind.value,
-        "metrics": evaluation.metrics_to_dict(metrics),
+        "metrics": dataclasses.asdict(metrics),
         "dataset_fingerprint": corpus.dataset_fingerprint(ds),
         "vectorizer_fingerprint": actual,
     }
@@ -418,7 +409,7 @@ def cmd_experiment(args) -> int:
     for spec in args.experiments:
         try:
             report = evaluation.run_experiment(spec, base_dir=base_dir, min_df=args.min_df)
-        except (ValueError, FileNotFoundError) as exc:
+        except ValueError as exc:
             raise DataError(f"experiment {spec.name!r}: {exc}") from None
         stem = os.path.join(out_dir, spec.name)
         evaluation.save_report(report, stem + ".json")

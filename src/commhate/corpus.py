@@ -8,11 +8,9 @@ Fisher-Yates selection, so every draw is a pure function of (input, seed).
 
 from __future__ import annotations
 
-import gzip
 import hashlib
 import json
 import random
-import zlib
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator
@@ -30,12 +28,6 @@ class Platform(str, Enum):
     VOAT = "voat"
     FORUM = "forum"
     OTHER = "other"
-
-
-class SourceLabel(str, Enum):
-    HATE = "hate"
-    SUPPORT = "support"
-    BACKGROUND = "background"
 
 
 @dataclass(frozen=True)
@@ -69,11 +61,9 @@ def _checked_deleted(cid: str, body: str, community: str, deleted: bool) -> bool
 
 @dataclass(frozen=True)
 class CorpusSlice:
-    """An ordered run of comments sharing one source label."""
+    """An ordered run of comments from one source."""
 
     comments: tuple[Comment, ...]
-    source_label: SourceLabel = SourceLabel.BACKGROUND
-    target_group: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "comments", tuple(self.comments))
@@ -83,9 +73,6 @@ class CorpusSlice:
 
     def __iter__(self) -> Iterator[Comment]:
         return iter(self.comments)
-
-    def communities(self) -> set[str]:
-        return {c.community for c in self.comments}
 
 
 @dataclass(frozen=True)
@@ -172,12 +159,6 @@ def comment_from_record(obj: dict, platform: Platform,
     )
 
 
-def _open_bytes(path: str):
-    if str(path).endswith(".gz"):
-        return gzip.open(path, "rb")
-    return open(path, "rb")
-
-
 def iter_jsonl(
     path: str,
     community_filter: set[str] | None = None,
@@ -188,47 +169,19 @@ def iter_jsonl(
     """Stream comments from a JSONL (optionally .gz) file, one at a time.
 
     Lazy: a Table-1-scale dump can be filtered down to one community without
-    ever materializing the rest. In lenient mode malformed lines are skipped
-    (``on_skip`` is called with the 1-based line number); in strict mode they
-    raise with the line number. Lines are decoded one at a time, so a line
-    that is not valid UTF-8 is one malformed record, not the end of the file.
-    A truncated or corrupt .gz ends the stream: every complete line before
-    the damage is kept and the damage counts as one malformed record (strict
-    mode raises, naming the last complete line).
+    ever materializing the rest. Malformed lines are skipped or raised as
+    ``atomic.read_jsonl`` describes.
     """
-    with _open_bytes(path) as fh:
-        lineno = 0
-        try:
-            for lineno, raw in enumerate(fh, 1):
-                try:
-                    line = raw.decode("utf-8")
-                    if not line.strip():
-                        continue
-                    comment = comment_from_record(json.loads(line), platform, community_filter)
-                except (ValueError, TypeError, RecursionError) as exc:
-                    if strict:
-                        raise ValueError(f"{path}:{lineno}: malformed record: {exc}") from exc
-                    if on_skip is not None:
-                        on_skip(lineno)
-                    continue
-                if comment is not None:
-                    yield comment
-        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:  # cut or corrupt .gz
-            if strict:
-                damage = "truncated" if isinstance(exc, EOFError) else "corrupt"
-                raise ValueError(
-                    f"{path}: compressed stream {damage} after line {lineno}: {exc}"
-                ) from exc
-            if on_skip is not None:
-                on_skip(lineno + 1)
+    yield from atomic.read_jsonl(
+        path, lambda obj: comment_from_record(obj, platform, community_filter),
+        strict, on_skip,
+    )
 
 
 def load_jsonl(
     path: str,
     community_filter: set[str] | None = None,
     platform: Platform = Platform.REDDIT,
-    source_label: SourceLabel = SourceLabel.BACKGROUND,
-    target_group: str = "",
     strict: bool = False,
 ) -> tuple[CorpusSlice, int]:
     """Load a JSONL dump into a CorpusSlice, preserving line order.
@@ -243,7 +196,7 @@ def load_jsonl(
     comments = tuple(
         iter_jsonl(path, community_filter, platform, strict=strict, on_skip=bump)
     )
-    return CorpusSlice(comments, source_label, target_group), skipped[0]
+    return CorpusSlice(comments), skipped[0]
 
 
 def write_jsonl(comments: Iterable[Comment], path: str) -> int:
@@ -397,22 +350,18 @@ def write_dataset(dataset: LabeledDataset, path: str) -> None:
     ))
 
 
+def _dataset_row(obj: dict) -> tuple:
+    return (tuple(str(t) for t in obj["tokens"]), str(obj["label"]),
+            (str(obj["id"]), str(obj["community"])))
+
+
 def load_dataset(path: str) -> LabeledDataset:
-    """Load a dataset written by write_dataset. The construction seed of the
-    original run is not part of the file format; loaded datasets carry seed 0."""
-    documents, labels, provenance = [], [], []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                documents.append(tuple(str(t) for t in obj["tokens"]))
-                labels.append(str(obj["label"]))
-                provenance.append((str(obj["id"]), str(obj["community"])))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed dataset row: {exc}") from exc
-    return LabeledDataset(tuple(documents), tuple(labels), tuple(provenance), 0)
+    """Load a dataset written by write_dataset; a malformed row raises
+    ValueError naming ``path:line``. The construction seed of the original
+    run is not part of the file format; loaded datasets carry seed 0."""
+    rows = tuple(atomic.read_jsonl(path, _dataset_row, strict=True))
+    return LabeledDataset(tuple(r[0] for r in rows), tuple(r[1] for r in rows),
+                          tuple(r[2] for r in rows), 0)
 
 
 def dataset_fingerprint(dataset: LabeledDataset) -> str:

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from . import atomic
@@ -168,32 +167,6 @@ def pooled_of(per_fold: Sequence[EvalMetrics]) -> EvalMetrics:
             fn=sum(m.counts.fn for m in per_fold),
         )
     )
-
-
-def metrics_to_dict(m: EvalMetrics) -> dict:
-    return {
-        "accuracy": m.accuracy,
-        "precision": m.precision,
-        "recall": m.recall,
-        "f1": m.f1,
-        "kappa": m.kappa,
-        "counts": {
-            "tp": m.counts.tp,
-            "fp": m.counts.fp,
-            "tn": m.counts.tn,
-            "fn": m.counts.fn,
-        },
-    }
-
-
-def summary_to_dict(s: MetricSummary) -> dict:
-    return {
-        "accuracy": s.accuracy,
-        "precision": s.precision,
-        "recall": s.recall,
-        "f1": s.f1,
-        "kappa": s.kappa,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +368,9 @@ def run_experiment(
         for kind, res in cv.items():
             report["results"][kind.value] = {
                 "mode": f"cv:{spec.cv_k}",
-                "per_fold": [metrics_to_dict(m) for m in res.per_fold],
-                "mean": summary_to_dict(res.mean),
-                "pooled": metrics_to_dict(res.pooled),
+                "per_fold": [asdict(m) for m in res.per_fold],
+                "mean": asdict(res.mean),
+                "pooled": asdict(res.pooled),
                 "vectorizer_fingerprints": list(res.vectorizer_fingerprints),
             }
         return report
@@ -416,14 +389,10 @@ def run_experiment(
         )
         report["results"][kind.value] = {
             "mode": "holdout",
-            "metrics": metrics_to_dict(m),
+            "metrics": asdict(m),
             "vectorizer_fingerprint": fp,
         }
     return report
-
-
-def report_json(report: dict) -> str:
-    return json.dumps(report, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
 
 
 def save_report(report: dict, path: str) -> None:
@@ -558,8 +527,8 @@ def community_vs_keyword_gap(
         docs(neg.comments[:kw_n]),
         k=keyword_k,
     )
-    pool_pos = CorpusSlice(pos.comments[pool_lo:pool_hi], pos.source_label)
-    pool_neg = CorpusSlice(neg.comments[pool_lo:pool_hi], neg.source_label)
+    pool_pos = CorpusSlice(pos.comments[pool_lo:pool_hi])
+    pool_neg = CorpusSlice(neg.comments[pool_lo:pool_hi])
     pool_mixed = CorpusSlice(pool_pos.comments + pool_neg.comments)
     community_train, _ = build_balanced(
         pool_pos, pool_neg, seed=derive_seed(seed, "gap", "community")
@@ -570,8 +539,8 @@ def community_vs_keyword_gap(
         seed=derive_seed(seed, "gap", "kwmatch"),
     )
     test_ds, _ = build_balanced(
-        CorpusSlice(pos.comments[pool_hi:], pos.source_label),
-        CorpusSlice(neg.comments[pool_hi:], neg.source_label),
+        CorpusSlice(pos.comments[pool_hi:]),
+        CorpusSlice(neg.comments[pool_hi:]),
         seed=derive_seed(seed, "gap", "test"),
     )
     community_metrics, _ = train_and_eval(
@@ -583,8 +552,8 @@ def community_vs_keyword_gap(
     return {
         "seed": seed,
         "keywords": [t for t, _ in keyword_set.terms],
-        "community": metrics_to_dict(community_metrics),
-        "baseline": metrics_to_dict(baseline_metrics),
+        "community": asdict(community_metrics),
+        "baseline": asdict(baseline_metrics),
         "precision_gap": community_metrics.precision - baseline_metrics.precision,
     }
 

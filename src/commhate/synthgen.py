@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 
 from . import atomic
-from .corpus import Comment, CorpusSlice, Platform, SourceLabel
+from .corpus import Comment, CorpusSlice, Platform
 from .seeding import derive_seed
 
 POS_COMMUNITY = "synthhate"
@@ -122,9 +122,7 @@ def generate(spec: SynthSpec) -> tuple[CorpusSlice, CorpusSlice, dict]:
         "n_docs_per_side": spec.n_docs,
         "seed": spec.seed,
     }
-    positive = CorpusSlice(sides[0], SourceLabel.HATE, "synthetic")
-    negative = CorpusSlice(sides[1], SourceLabel.SUPPORT, "synthetic")
-    return positive, negative, ground_truth
+    return CorpusSlice(sides[0]), CorpusSlice(sides[1]), ground_truth
 
 
 def write_ground_truth(ground_truth: dict, path: str) -> None:

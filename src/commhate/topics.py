@@ -163,9 +163,6 @@ def fit_two_sides(
     pos_docs: Sequence[Sequence[str]],
     neg_docs: Sequence[Sequence[str]],
     config: LldaConfig,
-    pos_label: str = "community",
-    neg_label: str = "background",
-    subsample: bool = True,
 ) -> LldaModel:
     """Fit community-vs-background topics, downsampling the larger side so
     both contribute equally (seeded from config.seed)."""
@@ -173,15 +170,14 @@ def fit_two_sides(
     neg = [list(d) for d in neg_docs if d]
     if not pos or not neg:
         raise ValueError("both sides must contain at least one non-empty document")
-    if subsample:
-        m = min(len(pos), len(neg))
-        rng = random.Random(derive_seed(config.seed, "llda", "subsample"))
-        if len(pos) > m:
-            pos = sample_without_replacement(pos, m, rng)
-        if len(neg) > m:
-            neg = sample_without_replacement(neg, m, rng)
+    m = min(len(pos), len(neg))
+    rng = random.Random(derive_seed(config.seed, "llda", "subsample"))
+    if len(pos) > m:
+        pos = sample_without_replacement(pos, m, rng)
+    if len(neg) > m:
+        neg = sample_without_replacement(neg, m, rng)
     documents = pos + neg
-    labels = [pos_label] * len(pos) + [neg_label] * len(neg)
+    labels = ["community"] * len(pos) + ["background"] * len(neg)
     return fit_llda(documents, labels, config)
 
 

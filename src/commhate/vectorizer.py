@@ -210,11 +210,7 @@ def save_tfidf(model: TfidfModel, path: str) -> None:
 
 
 def load_tfidf(path: str) -> TfidfModel:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+    obj = atomic.read_json(path)
     try:
         return model_from_dict(obj)
     except ValueError as exc:

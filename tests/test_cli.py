@@ -342,6 +342,20 @@ class TestTopicsAndKeywords:
         assert capsys.readouterr().err == "commhate: error: beta must be positive and finite\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["topics", "--pos", "{pos}", "--neg", "{neg}"],
+        ["keywords", "--method", "chi2_i", "--hate", "{pos}", "--contrast", "{neg}"],
+        ["keywords", "--method", "llda", "--hate", "{pos}", "--contrast", "{neg}"],
+    ], ids=["topics", "keywords-chi2_i", "keywords-llda"])
+    def test_invalid_k_is_config_error(self, corpora, tmp_path, capsys, argv):
+        pos, neg = corpora
+        argv = [a.format(pos=pos, neg=neg) for a in argv]
+        out_dir = tmp_path / "out"
+        code = _run(argv + ["--k", "0", "--output-dir", str(out_dir)])
+        assert code == 1
+        assert capsys.readouterr().err == "commhate: error: k must be >= 1\n"
+        assert not out_dir.exists()
+
 
 class TestSynthTrainEvaluate:
     def _synth(self, out_dir, seed="3", n="40"):
@@ -554,6 +568,75 @@ class TestExperimentCommand:
 
 
 @pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    root = tmp_path_factory.mktemp("trained")
+    assert _run(["synth", "--n", "20", "--vocab-core", "4", "--vocab-shared", "4",
+                 "--output-dir", str(root / "synth")]) == 0
+    assert _run(["train", "--dataset", str(root / "synth" / "dataset.jsonl"),
+                 "--min-df", "1", "--output-dir", str(root / "model")]) == 0
+    return root
+
+
+_GOOD_ROW = b'{"tokens": ["a"], "label": "positive", "id": "1", "community": "c"}\n'
+
+
+class TestMalformedJsonInput:
+    """Every JSON or JSONL file a command reads ends in one exit-2 line that
+    names the file (and the line, for JSONL), never in a traceback."""
+
+    def _fails(self, trained, tmp_path, capsys, command, option, bad):
+        """Run ``command`` with ``bad`` as ``option``; return its one stderr line."""
+        inputs = {"--dataset": trained / "synth" / "dataset.jsonl",
+                  "--model": trained / "model" / "model.json",
+                  "--vectorizer": trained / "model" / "vectorizer.json", option: bad}
+        argv = [command]
+        if command == "train":
+            argv += ["--dataset", bad]
+        elif command == "evaluate":
+            argv += [arg for pair in inputs.items() for arg in pair]
+        else:
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps({"experiments": [
+                {"name": "x", "train_source": bad.name, "test_source": "cv:2"}]}),
+                encoding="utf-8")
+            argv += ["--config", config]
+        out_dir = tmp_path / "out"
+        capsys.readouterr()
+        assert _run([str(a) for a in argv + ["--output-dir", out_dir]]) == 2
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        return err
+
+    @pytest.mark.parametrize("data,lineno", [
+        (b"[" * 100_000 + b"\n", 1),
+        (_GOOD_ROW + b'{"tokens": ["\xff"], "label": "positive", "id": "2", '
+                     b'"community": "c"}\n', 2),
+    ], ids=["deep-nesting", "non-utf8"])
+    @pytest.mark.parametrize("command,option", [
+        ("train", "--dataset"), ("evaluate", "--dataset"), ("evaluate", "--model"),
+        ("evaluate", "--vectorizer"), ("experiment", "train_source"),
+    ])
+    def test_bad_file_exits_two_naming_it(self, trained, tmp_path, capsys, command, option,
+                                          data, lineno):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(data)
+        err = self._fails(trained, tmp_path, capsys, command, option, bad)
+        where = "experiment 'x': " if command == "experiment" else ""
+        if option in ("--model", "--vectorizer"):
+            where += f"{bad}: not valid JSON: "
+        else:
+            where += f"{bad}:{lineno}: malformed record: "
+        assert err.startswith(f"commhate: data error: {where}")
+
+    def test_directory_train_source_exits_two(self, trained, tmp_path, capsys):
+        bad = tmp_path / "data"
+        bad.mkdir()
+        err = self._fails(trained, tmp_path, capsys, "experiment", "train_source", bad)
+        assert err.startswith(f"commhate: data error: experiment 'x': {bad}: cannot read: ")
+
+
+@pytest.fixture(scope="module")
 def setting_inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("settings")
     assert _run(["synth", "--n", "20", "--vocab-core", "4", "--vocab-shared", "4",
@@ -716,7 +799,7 @@ class TestConfigPrecedence:
                      "--output-dir", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"commhate: data error: {config}: cannot read config: ")
+        assert err.startswith(f"commhate: data error: {config}: cannot read: ")
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "o").exists()
 

@@ -17,7 +17,6 @@ from commhate.corpus import (
     CorpusSlice,
     LabeledDataset,
     Platform,
-    SourceLabel,
 )
 
 
@@ -25,8 +24,8 @@ def _comment(i, body="some words here", community="c", **kw):
     return Comment(id=str(i), body=body, community=community, **kw)
 
 
-def _slice(n, body="some words here", community="c", label=SourceLabel.HATE):
-    return CorpusSlice(tuple(_comment(i, body, community) for i in range(n)), label)
+def _slice(n, body="some words here", community="c"):
+    return CorpusSlice(tuple(_comment(i, body, community) for i in range(n)))
 
 
 class TestComment:
@@ -147,15 +146,12 @@ class TestJsonlIO:
                         platform=Platform.REDDIT, created_at=i, author=f"u{i}")
                 for i in range(5)
             ),
-            SourceLabel.HATE,
         )
         p = tmp_path / "c.jsonl.gz"
         corpus.write_jsonl(original, str(p))
         with gzip.open(p, "rt", encoding="utf-8") as fh:
             assert len(fh.readlines()) == 5
-        loaded, skipped = corpus.load_jsonl(
-            str(p), platform=Platform.REDDIT, source_label=SourceLabel.HATE
-        )
+        loaded, skipped = corpus.load_jsonl(str(p), platform=Platform.REDDIT)
         assert skipped == 0
         for a, b in zip(original.comments, loaded.comments):
             assert (a.id, a.body, a.community, a.created_at, a.author) == (
@@ -167,8 +163,7 @@ class TestJsonlIO:
         p1 = tmp_path / "a.jsonl"
         p2 = tmp_path / "b.jsonl"
         corpus.write_jsonl(original, str(p1))
-        loaded, _ = corpus.load_jsonl(str(p1), platform=Platform.OTHER,
-                                      source_label=SourceLabel.HATE)
+        loaded, _ = corpus.load_jsonl(str(p1), platform=Platform.OTHER)
         corpus.write_jsonl(loaded, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
@@ -355,7 +350,6 @@ class TestBuildBalanced:
         pos = CorpusSlice(
             tuple(_comment(i) for i in range(8))
             + (_comment("e1", body="the 123"), _comment("e2", body="!!!")),
-            SourceLabel.HATE,
         )
         ds, dropped = corpus.build_balanced(pos, _slice(10), seed=0)
         assert ds.counts() == (8, 8)
@@ -365,14 +359,13 @@ class TestBuildBalanced:
         pos = CorpusSlice(
             tuple(_comment(i) for i in range(5))
             + (_comment("d", body="[deleted]"),),
-            SourceLabel.HATE,
         )
         ds, dropped = corpus.build_balanced(pos, _slice(5), seed=0)
         assert dropped == 1
         assert all(cid != "d" for cid, _ in ds.provenance)
 
     def test_empty_side_error(self):
-        empty = CorpusSlice((_comment("x", body="the the"),), SourceLabel.HATE)
+        empty = CorpusSlice((_comment("x", body="the the"),))
         with pytest.raises(ValueError, match="non-empty"):
             corpus.build_balanced(empty, _slice(5), seed=0)
 
@@ -493,6 +486,19 @@ class TestDatasetPersistence:
                      '"community": "c"}\n{"oops": 1}\n', encoding="utf-8")
         with pytest.raises(ValueError, match=r":2:"):
             corpus.load_dataset(str(p))
+
+    @pytest.mark.parametrize("bad,reason", [
+        (b"[" * 100_000, "maximum recursion depth exceeded"),
+        (b'{"tokens": ["\xff"], "label": "negative", "id": "2", "community": "c"}',
+         "'utf-8' codec can't decode"),
+    ], ids=["deep-nesting", "non-utf8"])
+    def test_undecodable_row_names_line(self, tmp_path, bad, reason):
+        p = tmp_path / "ds.jsonl"
+        p.write_bytes(b'{"tokens": ["a"], "label": "positive", "id": "1", '
+                      b'"community": "c"}\n' + bad + b"\n")
+        with pytest.raises(ValueError) as exc:
+            corpus.load_dataset(str(p))
+        assert str(exc.value).startswith(f"{p}:2: malformed record: {reason}")
 
     def test_fingerprint_stable_and_sensitive(self):
         ds = self._dataset()

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +22,7 @@ from commhate.evaluation import (
     format_metrics_table,
     mean_of,
     metrics_from_counts,
-    metrics_to_dict,
     pooled_of,
-    report_json,
     report_to_csv,
     run_experiment,
     save_report,
@@ -305,16 +304,19 @@ class TestRunExperiment:
         entry = report["datasets"]["test"]
         assert (entry["n_pos"], entry["n_neg"], entry["n"]) == (4, 8, 12)
 
-    def test_reports_identical_up_to_timestamp(self, data_dir):
+    def test_reports_identical_up_to_timestamp(self, data_dir, tmp_path):
         spec = ExperimentSpec(
             name="det", train_source="train.jsonl", test_source="cv:2",
             kinds=(Algorithm.SVM,), seed=3,
         )
-        a = run_experiment(spec, base_dir=str(data_dir))
-        b = run_experiment(spec, base_dir=str(data_dir))
-        a.pop("timestamp")
-        b.pop("timestamp")
-        assert report_json(a) == report_json(b)
+        reports = []
+        for i in range(2):
+            path = tmp_path / f"det{i}.json"
+            save_report(run_experiment(spec, base_dir=str(data_dir)), str(path))
+            data, n = re.subn(rb'\n  "timestamp": "[^"\n]*",', b"", path.read_bytes())
+            assert n == 1
+            reports.append(data)
+        assert reports[0] == reports[1]
 
     def test_save_report(self, data_dir, tmp_path):
         spec = ExperimentSpec(

@@ -7,7 +7,6 @@ from collections import Counter
 import pytest
 
 from commhate import cli
-from commhate.corpus import SourceLabel
 from commhate.seeding import derive_seed
 from commhate.synthgen import (
     NEG_COMMUNITY,
@@ -58,8 +57,6 @@ class TestGenerate:
 
     def test_metadata(self):
         pos, neg, _ = generate(SynthSpec(n_docs=3, vocab_core=4, vocab_shared=4))
-        assert pos.source_label is SourceLabel.HATE
-        assert neg.source_label is SourceLabel.SUPPORT
         assert [c.id for c in pos.comments] == ["pos000000", "pos000001", "pos000002"]
         assert {c.community for c in pos.comments} == {POS_COMMUNITY}
         assert {c.community for c in neg.comments} == {NEG_COMMUNITY}

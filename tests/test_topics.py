@@ -237,11 +237,6 @@ class TestTwoSides:
         # each doc has 4 tokens; 5 docs per side after downsampling
         assert sum(sum(r) for r in model.topic_word_counts) == pytest.approx(40.0)
 
-    def test_subsample_disabled_keeps_all(self):
-        pos, neg = self._sides(5, 40)
-        model = fit_two_sides(pos, neg, LldaConfig(seed=1), subsample=False)
-        assert sum(sum(r) for r in model.topic_word_counts) == pytest.approx(180.0)
-
     def test_empty_documents_dropped_and_empty_side_rejected(self):
         pos, neg = self._sides()
         model = fit_two_sides(pos + [[]], neg, LldaConfig(seed=1))
