@@ -156,33 +156,6 @@ def _stable_sigmoid_neg(m: float) -> float:
     return 1.0 / (1.0 + math.exp(m))
 
 
-def logistic_loss_and_grad(
-    weights: np.ndarray,
-    bias: float,
-    indices: np.ndarray,
-    values: np.ndarray,
-    label: str,
-    l2_lambda: float,
-) -> tuple[float, np.ndarray, float]:
-    """Per-instance regularized logistic loss and its exact gradient for one
-    CSR row (``indices``, ``values``).
-
-    loss = log(1 + exp(-y z)) + lambda/2 ||w||^2 with z = w.x + b. The SGD
-    step in train_linear is one plain gradient descent step on this function.
-    """
-    y = 1.0 if label == POSITIVE else -1.0
-    m = y * (bias + float(np.dot(weights[indices], values)))
-    if m > 0:
-        loss = math.log1p(math.exp(-m))
-    else:
-        loss = -m + math.log1p(math.exp(m))
-    loss += 0.5 * l2_lambda * float(np.dot(weights, weights))
-    coef = -y * _stable_sigmoid_neg(m)
-    grad_w = l2_lambda * weights.copy()
-    grad_w[indices] += coef * values
-    return loss, grad_w, coef
-
-
 def train_linear(vectors: CsrBatch, labels: Sequence[str], config: TrainConfig) -> LinearModel:
     """SGD for logistic or hinge loss with lazily scaled L2 shrinkage.
 
@@ -303,31 +276,20 @@ def _numbers(obj: dict, name: str) -> np.ndarray:
 
 
 def model_from_dict(obj: dict) -> tuple[LinearModel, str]:
-    """Returns (model, vectorizer_hash recorded at save time). Also loads
-    schema-v1 files, whose NB models stored per-class log conditionals and
-    log priors; those fold into the same weights and bias. A missing or
+    """Returns (model, vectorizer_hash recorded at save time). A missing or
     ill-typed field raises ValueError naming it."""
     if not isinstance(obj, dict):
         raise ValueError(f"model file must hold a JSON object, got {type(obj).__name__}")
     version = obj.get("version")
-    if version not in (1, MODEL_SCHEMA_VERSION):
+    if version != MODEL_SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema version: {version!r}")
     algorithm = _field(obj, "algorithm")
     try:
         algorithm = Algorithm(algorithm)
     except ValueError as exc:
         raise ValueError(f"model field 'algorithm': {exc}") from None
-    if version == 1 and algorithm is Algorithm.NB:
-        log_cond_pos, log_cond_neg = _numbers(obj, "log_cond_pos"), _numbers(obj, "log_cond_neg")
-        log_prior = _numbers(obj, "log_prior")
-        if log_cond_pos.size != log_cond_neg.size or log_prior.size != 2:
-            raise ValueError("model fields 'log_cond_pos', 'log_cond_neg' and "
-                             "'log_prior' have inconsistent lengths")
-        weights = log_cond_pos - log_cond_neg
-        bias = float(log_prior[0]) - float(log_prior[1])
-    else:
-        weights, bias = _numbers(obj, "weights"), _number(obj, "bias")
-    model = LinearModel(weights=weights, bias=bias, algorithm=algorithm)
+    model = LinearModel(weights=_numbers(obj, "weights"), bias=_number(obj, "bias"),
+                        algorithm=algorithm)
     return model, str(obj.get("vectorizer_hash", ""))
 
 

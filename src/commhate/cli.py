@@ -99,6 +99,8 @@ def _resolve(args, config: dict) -> None:
         if value is None:
             value = config.get(dest, default)
         setattr(args, dest, None if value is None else typ(value))
+    if args.min_df < 1:
+        raise ValueError("min_df must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -404,13 +406,17 @@ def cmd_experiment(args) -> int:
         )
     inputs = _hash_inputs({"config": args.config} if args.config else {})
     base_dir = os.path.dirname(os.path.abspath(args.config)) if args.config else "."
-    out_dir = _out_dir(args)
-    artifacts = []
+    reports = []
     for spec in args.experiments:
         try:
-            report = evaluation.run_experiment(spec, base_dir=base_dir, min_df=args.min_df)
+            reports.append(evaluation.run_experiment(spec, base_dir=base_dir,
+                                                     min_df=args.min_df))
         except ValueError as exc:
             raise DataError(f"experiment {spec.name!r}: {exc}") from None
+    # Every spec runs before any report is written, so a failure leaves none.
+    out_dir = _out_dir(args)
+    artifacts = []
+    for spec, report in zip(args.experiments, reports):
         stem = os.path.join(out_dir, spec.name)
         evaluation.save_report(report, stem + ".json")
         table = evaluation.format_metrics_table(report)

@@ -82,7 +82,6 @@ class LabeledDataset:
     documents: tuple[tuple[str, ...], ...]
     labels: tuple[str, ...]
     provenance: tuple[tuple[str, str], ...]  # (comment id, source community)
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "documents", tuple(tuple(d) for d in self.documents))
@@ -107,7 +106,6 @@ class LabeledDataset:
             tuple(self.documents[i] for i in idx),
             tuple(self.labels[i] for i in idx),
             tuple(self.provenance[i] for i in idx),
-            self.seed,
         )
 
 
@@ -245,14 +243,24 @@ def _tokenized(slice_: CorpusSlice, config) -> tuple[list, int]:
     return kept, dropped
 
 
-def dataset_from_pairs(positive: list, negative: list, seed: int) -> LabeledDataset:
+def balanced_pair(positive: list, negative: list, rng: random.Random) -> tuple[list, list]:
+    """Downsample the larger side to the smaller side's size with ``rng``,
+    drawing for the positives first; the smaller side is kept as it is."""
+    m = min(len(positive), len(negative))
+    if len(positive) > m:
+        positive = sample_without_replacement(positive, m, rng)
+    if len(negative) > m:
+        negative = sample_without_replacement(negative, m, rng)
+    return positive, negative
+
+
+def dataset_from_pairs(positive: list, negative: list) -> LabeledDataset:
     """A dataset of (comment, tokens) pairs: the positives, then the negatives."""
     pairs = positive + negative
     return LabeledDataset(
         tuple(tokens for _, tokens in pairs),
         (POSITIVE,) * len(positive) + (NEGATIVE,) * len(negative),
         tuple((c.id, c.community) for c, _ in pairs),
-        seed,
     )
 
 
@@ -271,11 +279,8 @@ def build_balanced(
     neg, dropped_n = _tokenized(negative, config)
     if not pos or not neg:
         raise ValueError("both slices must be non-empty after preprocessing")
-    m = min(len(pos), len(neg))
-    rng = random.Random(seed)
-    pos_sel = pos if len(pos) == m else sample_without_replacement(pos, m, rng)
-    neg_sel = neg if len(neg) == m else sample_without_replacement(neg, m, rng)
-    return dataset_from_pairs(pos_sel, neg_sel, seed), dropped_p + dropped_n
+    pos, neg = balanced_pair(pos, neg, random.Random(seed))
+    return dataset_from_pairs(pos, neg), dropped_p + dropped_n
 
 
 def imbalanced_subset(dataset: LabeledDataset, ratio: int, seed: int = 0) -> LabeledDataset:
@@ -351,17 +356,22 @@ def write_dataset(dataset: LabeledDataset, path: str) -> None:
 
 
 def _dataset_row(obj: dict) -> tuple:
-    return (tuple(str(t) for t in obj["tokens"]), str(obj["label"]),
-            (str(obj["id"]), str(obj["community"])))
+    tokens, label, cid, community = obj["tokens"], obj["label"], obj["id"], obj["community"]
+    # map() runs the per-token isinstance check without a Python frame per token.
+    if not isinstance(tokens, list) or not all(map(str.__instancecheck__, tokens)):
+        raise ValueError("field 'tokens' must be a list of strings")
+    for key, value in (("label", label), ("id", cid), ("community", community)):
+        if not isinstance(value, str):
+            raise ValueError(f"field {key!r} must be a string, got {value!r}")
+    return tuple(tokens), label, (cid, community)
 
 
 def load_dataset(path: str) -> LabeledDataset:
     """Load a dataset written by write_dataset; a malformed row raises
-    ValueError naming ``path:line``. The construction seed of the original
-    run is not part of the file format; loaded datasets carry seed 0."""
+    ValueError naming ``path:line``."""
     rows = tuple(atomic.read_jsonl(path, _dataset_row, strict=True))
     return LabeledDataset(tuple(r[0] for r in rows), tuple(r[1] for r in rows),
-                          tuple(r[2] for r in rows), 0)
+                          tuple(r[2] for r in rows))
 
 
 def dataset_fingerprint(dataset: LabeledDataset) -> str:

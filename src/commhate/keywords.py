@@ -178,7 +178,7 @@ def keyword_match_dataset(
     rng = random.Random(seed)
     pos_sel = sample_without_replacement(pos_pool, n_pos, rng)
     neg_sel = sample_without_replacement(neg_pool, n_neg, rng)
-    return dataset_from_pairs(pos_sel, neg_sel, seed)
+    return dataset_from_pairs(pos_sel, neg_sel)
 
 
 # ---------------------------------------------------------------------------

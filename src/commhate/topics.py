@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import sample_without_replacement
+from .corpus import balanced_pair
 from .seeding import derive_seed
 
 
@@ -170,12 +170,8 @@ def fit_two_sides(
     neg = [list(d) for d in neg_docs if d]
     if not pos or not neg:
         raise ValueError("both sides must contain at least one non-empty document")
-    m = min(len(pos), len(neg))
     rng = random.Random(derive_seed(config.seed, "llda", "subsample"))
-    if len(pos) > m:
-        pos = sample_without_replacement(pos, m, rng)
-    if len(neg) > m:
-        neg = sample_without_replacement(neg, m, rng)
+    pos, neg = balanced_pair(pos, neg, rng)
     documents = pos + neg
     labels = ["community"] * len(pos) + ["background"] * len(neg)
     return fit_llda(documents, labels, config)

@@ -17,11 +17,10 @@ from collections import Counter
 from fractions import Fraction
 from time import perf_counter
 
-import numpy as np
 import pytest
 
 from commhate import evaluation
-from commhate.classifiers import Algorithm, TrainConfig, logistic_loss_and_grad, train_nb
+from commhate.classifiers import Algorithm, TrainConfig, train_linear, train_nb
 from commhate.corpus import (
     NEGATIVE,
     POSITIVE,
@@ -46,7 +45,7 @@ from commhate.evaluation import (
 from commhate.keywords import chi2_scores
 from commhate.synthgen import SynthSpec, generate
 from commhate.topics import LldaConfig, fit_llda, fit_two_sides, jaccard_index, top_terms
-from commhate.vectorizer import fit_tfidf
+from commhate.vectorizer import CsrBatch, fit_tfidf
 
 LABELS = (POSITIVE, NEGATIVE)
 
@@ -131,31 +130,35 @@ def test_c02_nb_oracle():
 
 @pytest.mark.acceptance("C3", "analytic LR gradient matches central finite "
                               "differences on 50 instances within 1e-5 relative")
-def test_c03_lr_gradient_check():
+def test_c03_lr_gradient_check(sgd_epoch_reference):
+    # One epoch of train_linear, for LR and for the SVM, on 50 random CSR
+    # batches each, against plain SGD steps whose gradients are central
+    # finite differences of the per-instance regularized loss.
     rng = random.Random(1003)
-    h = 1e-6
-    for _ in range(50):
-        dim = rng.randint(1, 8)
-        nnz = rng.randint(1, dim)
-        indices = np.array(sorted(rng.sample(range(dim), nnz)))
-        values = np.array([rng.uniform(0.05, 2.0) for _ in range(nnz)])
-        w = np.array([rng.uniform(-2, 2) for _ in range(dim)])
-        b = rng.uniform(-2, 2)
-        label = rng.choice(LABELS)
-        lam = 10 ** rng.uniform(-5, -1)
-        _, grad_w, grad_b = logistic_loss_and_grad(w, b, indices, values, label, lam)
-
-        def loss(wv, bv):
-            return logistic_loss_and_grad(wv, bv, indices, values, label, lam)[0]
-
-        for j in range(dim):
-            wp, wm = w.copy(), w.copy()
-            wp[j] += h
-            wm[j] -= h
-            fd = (loss(wp, b) - loss(wm, b)) / (2 * h)
-            assert abs(grad_w[j] - fd) <= 1e-5 * max(1.0, abs(fd), abs(grad_w[j]))
-        fd_b = (loss(w, b + h) - loss(w, b - h)) / (2 * h)
-        assert abs(grad_b - fd_b) <= 1e-5 * max(1.0, abs(fd_b), abs(grad_b))
+    for algorithm in ("lr", "svm"):
+        checked = 0
+        while checked < 50:
+            n, dim = rng.randint(2, 8), rng.randint(1, 8)
+            indptr, indices, data = [0], [], []
+            for _ in range(n):
+                row = sorted(rng.sample(range(dim), rng.randint(0, dim)))
+                indices += row
+                data += [rng.uniform(0.05, 2.0) for _ in row]
+                indptr.append(len(indices))
+            labels = [rng.choice(LABELS) for _ in range(n)]
+            labels[:2] = [POSITIVE, NEGATIVE]
+            batch = CsrBatch(indptr, indices, data, dim)
+            cfg = TrainConfig(algorithm=algorithm, epochs=1,
+                              learning_rate=rng.uniform(0.1, 1.0),
+                              l2_lambda=10 ** rng.uniform(-3, -1),
+                              seed=rng.randrange(2**31))
+            w, b, near_kink = sgd_epoch_reference(batch, labels, cfg)
+            if near_kink:  # the hinge has no gradient there: redraw
+                continue
+            model = train_linear(batch, labels, cfg)
+            for got, ref in zip([*model.weights, model.bias], [*w, b]):
+                assert abs(got - ref) <= 1e-5 * max(1.0, abs(ref), abs(got))
+            checked += 1
 
 
 @pytest.mark.acceptance("C4", "topic model matches smoothed label frequencies within "

@@ -441,6 +441,21 @@ class TestSynthTrainEvaluate:
         assert len(err.splitlines()) == 1
         assert not eval_dir.exists()
 
+    @pytest.mark.parametrize("command", ["train", "experiment"])
+    def test_min_df_below_one_is_usage_error(self, tmp_path, capsys, command):
+        # Checked before any input is read: the dataset named here is absent.
+        absent = tmp_path / "absent.jsonl"
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"experiments": [
+            {"name": "x", "train_source": str(absent), "test_source": "cv:2"}]}),
+            encoding="utf-8")
+        argv = {"train": ["train", "--dataset", str(absent)],
+                "experiment": ["experiment", "--config", str(config)]}[command]
+        out_dir = tmp_path / "out"
+        assert _run(argv + ["--min-df", "0", "--output-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err == "commhate: error: min_df must be >= 1\n"
+        assert not out_dir.exists()
+
     def test_train_divergence_is_data_error(self, tmp_path, capsys):
         synth_dir, train_dir = tmp_path / "synth", tmp_path / "model"
         assert self._synth(synth_dir) == 0
@@ -557,6 +572,18 @@ class TestExperimentCommand:
         assert code == 1
         assert "unknown experiment config keys" in capsys.readouterr().err
 
+    def test_failed_spec_leaves_no_reports(self, tmp_path, capsys):
+        config = self._setup(tmp_path)
+        obj = json.loads(config.read_text(encoding="utf-8"))
+        obj["experiments"].append({"name": "broken", "train_source": "absent.jsonl",
+                                   "test_source": "cv:2"})
+        config.write_text(json.dumps(obj), encoding="utf-8")
+        out_dir = tmp_path / "reports"
+        code = _run(["experiment", "--config", str(config), "--output-dir", str(out_dir)])
+        assert code == 2
+        assert "absent.jsonl" in capsys.readouterr().err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
     def test_missing_dataset_file_exits_two(self, tmp_path, capsys):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({
@@ -612,7 +639,13 @@ class TestMalformedJsonInput:
         (b"[" * 100_000 + b"\n", 1),
         (_GOOD_ROW + b'{"tokens": ["\xff"], "label": "positive", "id": "2", '
                      b'"community": "c"}\n', 2),
-    ], ids=["deep-nesting", "non-utf8"])
+        (_GOOD_ROW + b'{"tokens": "hate", "label": "negative", "id": "2", '
+                     b'"community": "c"}\n', 2),
+        (_GOOD_ROW + b'{"tokens": {"a": 1}, "label": "negative", "id": "2", '
+                     b'"community": "c"}\n', 2),
+        (_GOOD_ROW + b'{"tokens": ["b"], "label": "negative", "id": null, '
+                     b'"community": "c"}\n', 2),
+    ], ids=["deep-nesting", "non-utf8", "string-tokens", "object-tokens", "null-id"])
     @pytest.mark.parametrize("command,option", [
         ("train", "--dataset"), ("evaluate", "--dataset"), ("evaluate", "--model"),
         ("evaluate", "--vectorizer"), ("experiment", "train_source"),

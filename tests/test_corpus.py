@@ -468,7 +468,6 @@ class TestDatasetPersistence:
             (("a", "b"), ("c",), ("d", "e")),
             (POSITIVE, NEGATIVE, POSITIVE),
             (("1", "x"), ("2", "y"), ("3", "x")),
-            seed=5,
         )
 
     def test_round_trip(self, tmp_path):
@@ -487,6 +486,24 @@ class TestDatasetPersistence:
         with pytest.raises(ValueError, match=r":2:"):
             corpus.load_dataset(str(p))
 
+    @pytest.mark.parametrize("fields,reason", [
+        ({"tokens": "hate"}, "field 'tokens' must be a list of strings"),
+        ({"tokens": {"a": 1}}, "field 'tokens' must be a list of strings"),
+        ({"tokens": ["a", 1]}, "field 'tokens' must be a list of strings"),
+        ({"id": None}, "field 'id' must be a string, got None"),
+        ({"label": 1}, "field 'label' must be a string, got 1"),
+        ({"community": ["c"]}, "field 'community' must be a string, got ['c']"),
+    ], ids=["string-tokens", "object-tokens", "non-string-token", "null-id", "int-label",
+            "list-community"])
+    def test_ill_typed_row_names_line(self, tmp_path, fields, reason):
+        row = {"tokens": ["b"], "label": "negative", "id": "2", "community": "c", **fields}
+        p = tmp_path / "ds.jsonl"
+        p.write_text('{"tokens": ["a"], "label": "positive", "id": "1", "community": "c"}\n'
+                     + json.dumps(row) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            corpus.load_dataset(str(p))
+        assert str(exc.value) == f"{p}:2: malformed record: {reason}"
+
     @pytest.mark.parametrize("bad,reason", [
         (b"[" * 100_000, "maximum recursion depth exceeded"),
         (b'{"tokens": ["\xff"], "label": "negative", "id": "2", "community": "c"}',
@@ -504,7 +521,7 @@ class TestDatasetPersistence:
         ds = self._dataset()
         assert corpus.dataset_fingerprint(ds) == corpus.dataset_fingerprint(ds)
         other = LabeledDataset(
-            ds.documents, (NEGATIVE, POSITIVE, POSITIVE), ds.provenance, 5
+            ds.documents, (NEGATIVE, POSITIVE, POSITIVE), ds.provenance
         )
         assert corpus.dataset_fingerprint(ds) != corpus.dataset_fingerprint(other)
 

@@ -154,7 +154,7 @@ def _toy_dataset(n_per_side=12, seed=0, flip=False):
         docs.append(tuple(rng.choice(["supa", "supb", "supc"]) for _ in range(5)))
         labels.append(NEGATIVE if not flip else POSITIVE)
         prov.append((f"n{i}", "supportland"))
-    return LabeledDataset(tuple(docs), tuple(labels), tuple(prov), seed)
+    return LabeledDataset(tuple(docs), tuple(labels), tuple(prov))
 
 
 class TestTrainingPlumbing:
