@@ -3,8 +3,8 @@ evaluate | experiment | synth.
 
 Conventions shared by every subcommand:
 
-* exit 0 on success, 1 on usage/config errors, 2 on data errors (missing or
-  malformed files, insufficient samples);
+* exit 0 on success, 1 on a bad flag or config value (found before any
+  input is read), 2 on anything that fails while the command runs;
 * flag > config file > built-in default, with unknown config keys rejected;
 * one global --seed, stretched into per-stage seeds by hashing stage names,
   so any stage can be rerun in isolation and reproduce its output;
@@ -24,8 +24,8 @@ from . import __version__, atomic, classifiers, corpus, evaluation, keywords, sy
 from .seeding import derive_seed
 
 
-class DataError(Exception):
-    """File-level problem: missing inputs, malformed records, short pools."""
+class UsageError(Exception):
+    """A bad flag or config value: exit 1, raised before any input is read."""
 
 
 # ---------------------------------------------------------------------------
@@ -33,74 +33,98 @@ class DataError(Exception):
 # ---------------------------------------------------------------------------
 
 # One row per setting: config section (None at top level), config key, JSON
-# type, the argparse dest the key stands in for, and the default, taken from
-# the library that uses it. "experiments" has no flag.
+# type, the argparse dest the key stands in for, the default, taken from the
+# library that uses it, and the flag with the subcommands that take it ("*"
+# is every subcommand). "experiments" has no flag.
 _SETTINGS = (
-    (None, "seed", int, "seed", 0),
-    (None, "output_dir", str, "output_dir", "."),
-    (None, "min_df", int, "min_df", vectorizer.DEFAULT_MIN_DF),
-    (None, "stopwords_path", str, "stopwords", None),
-    (None, "experiments", list, "experiments", ()),
-    ("train", "l2_lambda", float, "l2_lambda", classifiers.TrainConfig.l2_lambda),
-    ("train", "epochs", int, "epochs", classifiers.TrainConfig.epochs),
-    ("train", "learning_rate", float, "learning_rate", classifiers.TrainConfig.learning_rate),
-    ("train", "nb_alpha", float, "nb_alpha", classifiers.TrainConfig.nb_alpha),
-    ("llda", "beta", float, "beta", topics.LldaConfig.beta),
-    ("keywords", "k", int, "keyword_k", keywords.DEFAULT_K),
-    ("keywords", "min_df", int, "keyword_min_df", keywords.DEFAULT_MIN_DF),
+    (None, "seed", int, "seed", 0, "--seed", "*"),
+    (None, "output_dir", str, "output_dir", ".", "--output-dir", "*"),
+    (None, "min_df", int, "min_df", vectorizer.DEFAULT_MIN_DF, "--min-df", "train experiment"),
+    (None, "stopwords_path", str, "stopwords", None, "--stopwords",
+     "preprocess topics keywords train evaluate"),
+    (None, "experiments", list, "experiments", (), None, ""),
+    ("train", "l2_lambda", float, "l2_lambda", classifiers.TrainConfig.l2_lambda,
+     "--l2-lambda", "train"),
+    ("train", "epochs", int, "epochs", classifiers.TrainConfig.epochs, "--epochs", "train"),
+    ("train", "learning_rate", float, "learning_rate", classifiers.TrainConfig.learning_rate,
+     "--learning-rate", "train"),
+    ("train", "nb_alpha", float, "nb_alpha", classifiers.TrainConfig.nb_alpha,
+     "--nb-alpha", "train"),
+    ("llda", "beta", float, "beta", topics.LldaConfig.beta, "--beta", "topics keywords"),
+    ("keywords", "k", int, "keyword_k", keywords.DEFAULT_K, "--k", "keywords"),
+    ("keywords", "min_df", int, "keyword_min_df", keywords.DEFAULT_MIN_DF, "--min-df",
+     "keywords"),
 )
 
 
 def load_run_config(path: str) -> dict:
     """The settings a config file sets, keyed by argparse dest, with the
     experiments parsed into specs. Keys and types are checked against
-    ``_SETTINGS``; null means unset and is left out."""
+    ``_SETTINGS``; null means unset and is left out. A file that cannot be
+    read raises OSError or ValueError, a bad value UsageError."""
     try:
         obj = atomic.read_json(path)
     except FileNotFoundError:
-        raise DataError(f"config file not found: {path}") from None
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
+        raise FileNotFoundError(f"config file not found: {path}") from None
     types: dict = {}
-    for section, key, typ, _dest, _default in _SETTINGS:
+    for section, key, typ, *_ in _SETTINGS:
         (types.setdefault(section, {}) if section else types)[key] = typ
-    unknown = set(obj) - set(types)
-    if unknown:
-        raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
-    evaluation.check_types(obj, types, f"{path}: ")
-    for section, keys in types.items():
-        if isinstance(keys, dict):
-            bad = set(obj.get(section) or {}) - set(keys)
-            if bad:
-                raise ValueError(f"{path}: unknown keys in {section!r}: {sorted(bad)}")
-            evaluation.check_types(obj.get(section) or {}, keys, f"{path}: {section!r} key ")
-    values = {}
-    for section, key, _typ, dest, _default in _SETTINGS:
-        value = ((obj.get(section) or {}) if section else obj).get(key)
-        if value is not None:
-            values[dest] = value
-    experiments = values.get("experiments", [])
-    if not all(isinstance(e, dict) for e in experiments):
-        raise ValueError(f"{path}: each experiment must be a JSON object")
-    try:
+    try:  # the file parsed, so every ValueError from here on is about its content
+        if not isinstance(obj, dict):
+            raise ValueError("config must be a JSON object")
+        unknown = set(obj) - set(types)
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        evaluation.check_types(obj, types, "")
+        for section, keys in types.items():
+            if isinstance(keys, dict):
+                bad = set(obj.get(section) or {}) - set(keys)
+                if bad:
+                    raise ValueError(f"unknown keys in {section!r}: {sorted(bad)}")
+                evaluation.check_types(obj.get(section) or {}, keys, f"{section!r} key ")
+        values = {}
+        for section, key, _typ, dest, *_ in _SETTINGS:
+            value = ((obj.get(section) or {}) if section else obj).get(key)
+            if value is not None:
+                values[dest] = value
+        experiments = values.get("experiments", [])
+        if not all(isinstance(e, dict) for e in experiments):
+            raise ValueError("each experiment must be a JSON object")
         values["experiments"] = [evaluation.experiment_from_dict(e) for e in experiments]
+        names = [spec.name for spec in values["experiments"]]
+        for i, name in enumerate(names):
+            # Each spec writes <output_dir>/<name>.{json,txt,csv}.
+            if name in (".", "..") or os.path.basename(name) != name:
+                raise ValueError(f"experiment {name!r}: name must be a plain file name")
+            if name in names[:i]:
+                raise ValueError(f"experiment {name!r}: name is used twice")
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise UsageError(f"{path}: {exc}") from None
     return values
 
 
 def _resolve(args, config: dict) -> None:
     """Give every setting the command line left unset its config value, or
-    else its default, coerced to the setting's type."""
-    for _section, _key, typ, dest, default in _SETTINGS:
+    else its default, coerced to the setting's type. Then check them all,
+    with the library's own checks where it has them: a bad value fails every
+    command, before any input is read."""
+    for _section, _key, typ, dest, default, *_ in _SETTINGS:
         value = getattr(args, dest, None)
         if value is None:
             value = config.get(dest, default)
         setattr(args, dest, None if value is None else typ(value))
-    if args.min_df < 1:
-        raise ValueError("min_df must be >= 1")
+    # topics --k (terms per side) has no config key; keywords' --k has one.
+    for name, value in (("min_df", args.min_df), ("k", args.keyword_k),
+                        ("k", getattr(args, "k", 1))):
+        if value < 1:
+            raise UsageError(f"{name} must be >= 1")
+    try:
+        args.train_config = classifiers.TrainConfig(
+            l2_lambda=args.l2_lambda, epochs=args.epochs,
+            learning_rate=args.learning_rate, nb_alpha=args.nb_alpha)
+        args.llda_config = topics.LldaConfig(beta=args.beta)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +135,7 @@ def _resolve(args, config: dict) -> None:
 def _require_files(*paths: str) -> None:
     for p in paths:
         if not os.path.isfile(p):
-            raise DataError(f"input file not found: {p}")
+            raise FileNotFoundError(f"input file not found: {p}")
 
 
 def _sha256_file(path: str) -> str:
@@ -123,10 +147,12 @@ def _sha256_file(path: str) -> str:
 
 
 def _hash_inputs(inputs: dict) -> dict:
-    """The manifest's inputs with their sha256. Commands take this before
-    writing any artifact, since an artifact may replace its own input."""
+    """The manifest's inputs, less the unset ones, with their sha256.
+    Commands take this before writing any artifact, since an artifact may
+    replace its own input."""
+    inputs = {name: path for name, path in inputs.items() if path}
     return {"inputs": inputs,
-            "input_hashes": {p: _sha256_file(p) for p in inputs.values() if p}}
+            "input_hashes": {p: _sha256_file(p) for p in inputs.values()}}
 
 
 def _write_manifest(out_dir: str, command: str, params: dict, hashed_inputs: dict,
@@ -156,17 +182,12 @@ def _prep_config(args) -> textprep.PreprocessConfig:
     try:
         return textprep.PreprocessConfig(stopwords=textprep.load_stopwords(path))
     except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: stopword list is not valid UTF-8: {exc}") from None
+        raise ValueError(f"{path}: stopword list is not valid UTF-8: {exc}") from None
 
 
-def _load_corpus(path: str, platform: corpus.Platform, communities=None):
+def _load_corpus(path: str, platform: corpus.Platform):
     _require_files(path)
-    try:
-        slice_, skipped = corpus.load_jsonl(
-            path, community_filter=communities, platform=platform
-        )
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
+    slice_, skipped = corpus.load_jsonl(path, platform=platform)
     if skipped:
         print(f"note: skipped {skipped} malformed line(s) in {path}", file=sys.stderr)
     return slice_
@@ -175,7 +196,7 @@ def _load_corpus(path: str, platform: corpus.Platform, communities=None):
 def _tokenize_corpus(slice_, prep) -> list[list[str]]:
     kept, _dropped = corpus._tokenized(slice_, prep)
     if not kept:
-        raise DataError("corpus is empty after preprocessing")
+        raise ValueError("corpus is empty after preprocessing")
     return [toks for _c, toks in kept]
 
 
@@ -185,7 +206,12 @@ def _out_dir(args) -> str:
 
 
 def _source_inputs(args) -> dict:
-    return {"dataset": args.dataset} if args.dataset else {"pos": args.pos, "neg": args.neg}
+    """The inputs of a train or evaluate dataset, checked before any is read."""
+    if args.dataset:
+        return {"dataset": args.dataset}
+    if not (args.pos and args.neg):
+        raise UsageError("provide either --dataset or both --pos and --neg")
+    return {"pos": args.pos, "neg": args.neg, "stopwords": args.stopwords}
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +227,10 @@ def cmd_ingest(args) -> int:
     out_dir = _out_dir(args)
     out_path = os.path.join(out_dir, args.output)
     skipped = []
-    try:
-        n = corpus.write_jsonl(corpus.iter_jsonl(
-            args.input, community_filter=communities, platform=platform,
-            strict=args.strict, on_skip=skipped.append,
-        ), out_path)
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
+    n = corpus.write_jsonl(corpus.iter_jsonl(
+        args.input, community_filter=communities, platform=platform,
+        strict=args.strict, on_skip=skipped.append,
+    ), out_path)
     _write_manifest(
         out_dir, "ingest",
         {"platform": platform.value, "communities": sorted(communities or []),
@@ -220,8 +243,8 @@ def cmd_ingest(args) -> int:
 
 def cmd_preprocess(args) -> int:
     _require_files(args.input)
-    inputs = _hash_inputs({"input": args.input})
     prep = _prep_config(args)
+    inputs = _hash_inputs({"input": args.input, "stopwords": args.stopwords})
     out_dir = _out_dir(args)
     out_path = os.path.join(out_dir, args.output)
     slice_ = _load_corpus(args.input, corpus.Platform(args.platform))
@@ -239,10 +262,10 @@ def cmd_preprocess(args) -> int:
 
 def cmd_topics(args) -> int:
     prep = _prep_config(args)
-    llda_cfg = topics.LldaConfig(beta=args.beta, seed=derive_seed(args.seed, "topics"))
+    llda_cfg = dataclasses.replace(args.llda_config, seed=derive_seed(args.seed, "topics"))
     pos = _load_corpus(args.pos, corpus.Platform(args.platform))
     neg = _load_corpus(args.neg, corpus.Platform(args.platform))
-    inputs = _hash_inputs({"pos": args.pos, "neg": args.neg})
+    inputs = _hash_inputs({"pos": args.pos, "neg": args.neg, "stopwords": args.stopwords})
     pos_docs = _tokenize_corpus(pos, prep)
     neg_docs = _tokenize_corpus(neg, prep)
     model = topics.fit_two_sides(pos_docs, neg_docs, llda_cfg)
@@ -266,10 +289,11 @@ def cmd_topics(args) -> int:
 def cmd_keywords(args) -> int:
     prep = _prep_config(args)
     method = keywords.KeywordMethod(args.method)
-    llda_cfg = topics.LldaConfig(beta=args.beta, seed=derive_seed(args.seed, "keywords"))
+    llda_cfg = dataclasses.replace(args.llda_config, seed=derive_seed(args.seed, "keywords"))
     hate = _load_corpus(args.hate, corpus.Platform(args.platform))
     contrast = _load_corpus(args.contrast, corpus.Platform(args.platform))
-    inputs = _hash_inputs({"hate": args.hate, "contrast": args.contrast})
+    inputs = _hash_inputs({"hate": args.hate, "contrast": args.contrast,
+                           "stopwords": args.stopwords})
     ks = keywords.build_keyword_set(
         method,
         _tokenize_corpus(hate, prep),
@@ -296,38 +320,24 @@ def _assemble_dataset(args, seed: int):
     """Dataset from either a prepared file or a pos/neg corpus pair."""
     if args.dataset:
         _require_files(args.dataset)
-        try:
-            return corpus.load_dataset(args.dataset), None
-        except ValueError as exc:
-            raise DataError(str(exc)) from None
-    if not (args.pos and args.neg):
-        raise ValueError("provide either --dataset or both --pos and --neg")
+        return corpus.load_dataset(args.dataset), None
     prep = _prep_config(args)
     pos = _load_corpus(args.pos, corpus.Platform(args.platform))
     neg = _load_corpus(args.neg, corpus.Platform(args.platform))
-    try:
-        ds, dropped = corpus.build_balanced(pos, neg, seed=seed, config=prep)
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
-    return ds, dropped
+    return corpus.build_balanced(pos, neg, seed=seed, config=prep)
 
 
 def cmd_train(args) -> int:
+    sources = _source_inputs(args)
     ds, dropped = _assemble_dataset(args, derive_seed(args.seed, "train", "dataset"))
-    inputs = _hash_inputs(_source_inputs(args))
-    train_cfg = classifiers.TrainConfig(
-        algorithm=args.algorithm, l2_lambda=args.l2_lambda, epochs=args.epochs,
-        learning_rate=args.learning_rate, nb_alpha=args.nb_alpha,
-        seed=derive_seed(args.seed, "train", "fit"),
+    inputs = _hash_inputs(sources)
+    train_cfg = dataclasses.replace(args.train_config, algorithm=args.algorithm,
+                                    seed=derive_seed(args.seed, "train", "fit"))
+    vec = vectorizer.fit_tfidf(ds.documents, min_df=args.min_df)
+    model = classifiers.train(
+        evaluation.vectors_for(train_cfg.algorithm, vec, ds.documents),
+        ds.labels, train_cfg,
     )
-    try:
-        vec = vectorizer.fit_tfidf(ds.documents, min_df=args.min_df)
-        model = classifiers.train(
-            evaluation.vectors_for(train_cfg.algorithm, vec, ds.documents),
-            ds.labels, train_cfg,
-        )
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
     out_dir = _out_dir(args)
     artifacts = []
     if dropped is not None:
@@ -355,32 +365,26 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    sources = _source_inputs(args)
     _require_files(args.model, args.vectorizer)
-    try:
-        vec = vectorizer.load_tfidf(args.vectorizer)
-        model, recorded_hash = classifiers.load_model(args.model)
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
+    vec = vectorizer.load_tfidf(args.vectorizer)
+    model, recorded_hash = classifiers.load_model(args.model)
     actual = vectorizer.model_fingerprint(vec)
     if recorded_hash and recorded_hash != actual:
-        raise DataError(
+        raise ValueError(
             f"model {args.model} was trained against a different vectorizer "
             f"(recorded {recorded_hash[:12]}, got {actual[:12]})"
         )
     if model.dim != vec.dim:
-        raise DataError(
+        raise ValueError(
             f"model {args.model} has {model.dim} weights but the vectorizer has "
             f"{vec.dim} terms"
         )
     ds, _ = _assemble_dataset(args, derive_seed(args.seed, "evaluate", "dataset"))
-    inputs = _hash_inputs({"model": args.model, "vectorizer": args.vectorizer,
-                           **_source_inputs(args)})
+    inputs = _hash_inputs({"model": args.model, "vectorizer": args.vectorizer, **sources})
     kind = model.algorithm
     predicted = model.predict_all(evaluation.vectors_for(kind, vec, ds.documents))
-    try:
-        metrics = evaluation.compute_metrics(predicted, ds.labels)
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
+    metrics = evaluation.compute_metrics(predicted, ds.labels)
     out_dir = _out_dir(args)
     out_path = os.path.join(out_dir, "evaluation.json")
     payload = {
@@ -401,18 +405,18 @@ def cmd_evaluate(args) -> int:
 
 def cmd_experiment(args) -> int:
     if not args.experiments:
-        raise ValueError(
+        raise UsageError(
             "no experiments defined; put an 'experiments' list in the config file"
         )
-    inputs = _hash_inputs({"config": args.config} if args.config else {})
+    inputs = _hash_inputs({"config": args.config})
     base_dir = os.path.dirname(os.path.abspath(args.config)) if args.config else "."
     reports = []
     for spec in args.experiments:
         try:
             reports.append(evaluation.run_experiment(spec, base_dir=base_dir,
                                                      min_df=args.min_df))
-        except ValueError as exc:
-            raise DataError(f"experiment {spec.name!r}: {exc}") from None
+        except (ValueError, OSError) as exc:
+            raise ValueError(f"experiment {spec.name!r}: {exc}") from None
     # Every spec runs before any report is written, so a failure leaves none.
     out_dir = _out_dir(args)
     artifacts = []
@@ -441,7 +445,7 @@ def cmd_synth(args) -> int:
             doc_len_max=args.doc_len_max, seed=args.seed, zipf=args.zipf,
         )
     except ValueError as exc:
-        raise ValueError(f"invalid synth parameters: {exc}") from None
+        raise UsageError(f"invalid synth parameters: {exc}") from None
     pos, neg, gt = synthgen.generate(spec)
     out_dir = _out_dir(args)
     pos_path = os.path.join(out_dir, "pos.jsonl")
@@ -479,32 +483,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file (flags take precedence)")
-    p.add_argument("--seed", type=int, default=None, help="global seed (default 0)")
-    p.add_argument("--output-dir", default=None, help="artifact directory (default .)")
-
-
 def _add_platform(p: argparse.ArgumentParser) -> None:
     p.add_argument("--platform", default="reddit",
                    choices=[pl.value for pl in corpus.Platform],
                    help="field mapping for input JSONL (default reddit)")
-
-
-def _add_prep_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--stopwords", default=None,
-                   help="stopword list file, one lowercase word per line")
-
-
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--l2-lambda", dest="l2_lambda", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
-    p.add_argument("--nb-alpha", dest="nb_alpha", type=float, default=None)
-
-
-def _add_llda_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--beta", type=float, default=None)
 
 
 def _add_dataset_source(p: argparse.ArgumentParser) -> None:
@@ -512,7 +494,6 @@ def _add_dataset_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pos", default=None, help="positive-side corpus JSONL")
     p.add_argument("--neg", default=None, help="negative-side corpus JSONL")
     _add_platform(p)
-    _add_prep_flags(p)
 
 
 def build_parser() -> _Parser:
@@ -521,8 +502,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"commhate {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="subcommand")
 
-    p = sub.add_parser("ingest", parents=[], help="filter a JSONL dump by community",
-                       add_help=True)
+    p = sub.add_parser("ingest", help="filter a JSONL dump by community")
     p.add_argument("--input", required=True, help="JSONL or JSONL.gz dump")
     p.add_argument("--community", action="append", default=None,
                    help="community to keep (repeatable; default: all)")
@@ -531,16 +511,11 @@ def build_parser() -> _Parser:
     p.add_argument("--strict", action="store_true",
                    help="fail on malformed lines instead of skipping")
     _add_platform(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("preprocess", help="tokenize a corpus")
     p.add_argument("--input", required=True)
     p.add_argument("--output", default="tokens.jsonl")
     _add_platform(p)
-    _add_prep_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("topics", help="two-sided topic model and overlap")
     p.add_argument("--pos", required=True, help="community corpus JSONL")
@@ -549,10 +524,6 @@ def build_parser() -> _Parser:
     p.add_argument("--ranking", choices=["distinctiveness", "phi"],
                    default="distinctiveness")
     _add_platform(p)
-    _add_prep_flags(p)
-    _add_llda_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_topics)
 
     p = sub.add_parser("keywords", help="extract a keyword set")
     p.add_argument("--method", required=True,
@@ -560,36 +531,20 @@ def build_parser() -> _Parser:
     p.add_argument("--hate", required=True, help="hate corpus JSONL")
     p.add_argument("--contrast", required=True,
                    help="background (chi2_i) or support (chi2_ii) corpus JSONL")
-    p.add_argument("--k", dest="keyword_k", metavar="K", type=int, default=None)
-    p.add_argument("--min-df", dest="keyword_min_df", metavar="MIN_DF", type=int,
-                   default=None)
     p.add_argument("--target-group", default="")
     _add_platform(p)
-    _add_prep_flags(p)
-    _add_llda_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_keywords)
 
     p = sub.add_parser("train", help="train a classifier")
     p.add_argument("--algorithm", default="lr",
                    choices=[a.value for a in classifiers.Algorithm])
-    p.add_argument("--min-df", dest="min_df", type=int, default=None)
     _add_dataset_source(p)
-    _add_train_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a trained model on a dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--vectorizer", required=True)
     _add_dataset_source(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("experiment", help="run experiment specs from a config")
-    p.add_argument("--min-df", dest="min_df", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_experiment)
+    sub.add_parser("experiment", help="run experiment specs from a config")
 
     p = sub.add_parser("synth", help="generate a synthetic two-sided corpus")
     p.add_argument("--n", type=int, default=500, help="documents per side")
@@ -601,9 +556,18 @@ def build_parser() -> _Parser:
     p.add_argument("--zipf", action="store_true",
                    help="draw terms within each block with P(rank r) proportional "
                    "to 1/(r+1)")
-    _add_common(p)
-    p.set_defaults(func=cmd_synth)
 
+    for name, p in sub.choices.items():
+        p.set_defaults(func=globals()[f"cmd_{name}"])
+        p.add_argument("--config", help="JSON config file (flags take precedence)")
+    for section, key, typ, dest, default, flag, commands in _SETTINGS:
+        text = f"config key {section}.{key}" if section else f"config key {key}"
+        if default is not None:
+            text += f" (default {default})"
+        for command in sub.choices if commands == "*" else commands.split():
+            sub.choices[command].add_argument(flag, dest=dest, type=typ, default=None,
+                                              metavar=flag[2:].upper().replace("-", "_"),
+                                              help=text)
     return parser
 
 
@@ -617,15 +581,12 @@ def main(argv=None) -> int:
     try:
         _resolve(args, load_run_config(args.config) if args.config else {})
         return args.func(args)
-    except DataError as exc:
-        print(f"commhate: data error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"commhate: data error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except UsageError as exc:
         print(f"commhate: error: {exc}", file=sys.stderr)
         return 1
+    except (ValueError, OSError) as exc:
+        print(f"commhate: data error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

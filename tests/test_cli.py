@@ -118,6 +118,70 @@ class TestEntryPoints:
             _run(["ingest"])
         assert exc.value.code == 1
 
+    # Every option string of every subcommand, with its dest: the flags that
+    # build_parser generates from _SETTINGS must add and drop none.
+    _COMMON = {"-h": "help", "--help": "help", "--config": "config", "--seed": "seed",
+               "--output-dir": "output_dir"}
+    _SOURCE = {"--dataset": "dataset", "--pos": "pos", "--neg": "neg",
+               "--platform": "platform", "--stopwords": "stopwords"}
+    _OPTIONS = {
+        "ingest": {"--input": "input", "--community": "community", "--output": "output",
+                   "--strict": "strict", "--platform": "platform"},
+        "preprocess": {"--input": "input", "--output": "output", "--platform": "platform",
+                       "--stopwords": "stopwords"},
+        "topics": {"--pos": "pos", "--neg": "neg", "--k": "k", "--ranking": "ranking",
+                   "--platform": "platform", "--stopwords": "stopwords", "--beta": "beta"},
+        "keywords": {"--method": "method", "--hate": "hate", "--contrast": "contrast",
+                     "--k": "keyword_k", "--min-df": "keyword_min_df",
+                     "--target-group": "target_group", "--platform": "platform",
+                     "--stopwords": "stopwords", "--beta": "beta"},
+        "train": {"--algorithm": "algorithm", "--min-df": "min_df", **_SOURCE,
+                  "--l2-lambda": "l2_lambda", "--epochs": "epochs",
+                  "--learning-rate": "learning_rate", "--nb-alpha": "nb_alpha"},
+        "evaluate": {"--model": "model", "--vectorizer": "vectorizer", **_SOURCE},
+        "experiment": {"--min-df": "min_df"},
+        "synth": {"--n": "n", "--overlap": "overlap", "--vocab-core": "vocab_core",
+                  "--vocab-shared": "vocab_shared", "--doc-len-min": "doc_len_min",
+                  "--doc-len-max": "doc_len_max", "--zipf": "zipf"},
+    }
+
+    def test_option_strings_are_pinned(self):
+        (sub,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+        options = {name: {o: a.dest for a in p._actions for o in a.option_strings}
+                   for name, p in sub.choices.items()}
+        assert options == {name: {**self._COMMON, **own} for name, own in self._OPTIONS.items()}
+
+    # Each bad setting exits 1 with the library's message before any input is
+    # opened: every input named here is absent, and reading it would exit 2.
+    @pytest.mark.parametrize("argv,message", [
+        (["train", "--dataset", "{absent}", "--epochs", "0"], "epochs must be >= 1"),
+        (["train", "--dataset", "{absent}", "--l2-lambda", "0"], "l2_lambda must be positive"),
+        (["train", "--dataset", "{absent}", "--learning-rate", "0"],
+         "learning_rate must be positive"),
+        (["train", "--dataset", "{absent}", "--nb-alpha", "0"], "nb_alpha must be positive"),
+        (["topics", "--pos", "{absent}", "--neg", "{absent}", "--beta", "0"],
+         "beta must be positive and finite"),
+        (["train", "--dataset", "{absent}", "--min-df", "0"], "min_df must be >= 1"),
+        (["topics", "--pos", "{absent}", "--neg", "{absent}", "--k", "0"], "k must be >= 1"),
+        (["keywords", "--method", "chi2_i", "--hate", "{absent}", "--contrast", "{absent}",
+          "--k", "0"], "k must be >= 1"),
+    ], ids=["epochs", "l2-lambda", "learning-rate", "nb-alpha", "beta", "min-df", "topics-k",
+            "keywords-k"])
+    def test_bad_setting_exits_one_before_reading(self, tmp_path, capsys, argv, message):
+        out_dir = tmp_path / "out"
+        argv = [a.format(absent=tmp_path / "absent.jsonl") for a in argv]
+        assert _run(argv + ["--output-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err == f"commhate: error: {message}\n"
+        assert not out_dir.exists()
+
+    def test_output_dir_below_a_file_exits_two(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("x", encoding="utf-8")
+        assert _run(["synth", "--n", "10", "--output-dir", str(blocker / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("commhate: data error: ") and str(blocker / "out") in err
+        assert len(err.splitlines()) == 1
+
 
 class TestIngest:
     def test_filters_and_skips_malformed(self, tmp_path, capsys):
@@ -283,6 +347,59 @@ class TestPreprocess:
         err = capsys.readouterr().err
         assert err.startswith(f"commhate: data error: {stop}: stopword list is not valid UTF-8")
         assert not (out_dir / "tokens.jsonl").exists()
+
+
+class TestStopwordInput:
+    """The stop-word file changes every token, so a run that reads it names
+    and hashes it among its inputs; a run without it records no such input."""
+
+    def _argv(self, command, pos, neg, model_dir):
+        return {
+            "preprocess": ["preprocess", "--input", pos],
+            "topics": ["topics", "--pos", pos, "--neg", neg, "--k", "2"],
+            "keywords": ["keywords", "--method", "chi2_i", "--hate", pos, "--contrast", neg,
+                         "--k", "2", "--min-df", "1"],
+            "train": ["train", "--pos", pos, "--neg", neg, "--min-df", "1"],
+            "evaluate": ["evaluate", "--model", model_dir / "model.json",
+                         "--vectorizer", model_dir / "vectorizer.json", "--pos", pos,
+                         "--neg", neg],
+        }[command]
+
+    @pytest.mark.parametrize("command", ["preprocess", "topics", "keywords", "train",
+                                         "evaluate"])
+    def test_manifest_names_and_hashes_the_stopword_file(self, corpora, tmp_path, capsys,
+                                                         command):
+        pos, neg = corpora
+        model_dir = tmp_path / "model"
+        assert _run([str(a) for a in self._argv("train", pos, neg, model_dir)
+                     + ["--output-dir", model_dir]]) == 0
+        stop = tmp_path / "stop.txt"
+        stop.write_text("rant\nchat\n", encoding="utf-8")
+        argv = [str(a) for a in self._argv(command, pos, neg, model_dir)]
+        for name, extra in (("with", ["--stopwords", str(stop)]), ("without", [])):
+            out_dir = tmp_path / name
+            assert _run(argv + extra + ["--output-dir", str(out_dir)]) == 0
+            manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+            if extra:
+                assert manifest["inputs"]["stopwords"] == str(stop)
+                digest = hashlib.sha256(stop.read_bytes()).hexdigest()
+                assert manifest["input_hashes"][str(stop)] == digest
+            else:
+                assert "stopwords" not in manifest["inputs"]
+                assert str(stop) not in manifest["input_hashes"]
+
+    def test_prepared_dataset_records_no_stopword_file(self, tmp_path, capsys):
+        # --stopwords does not apply to a dataset that is already tokenized.
+        synth_dir = tmp_path / "synth"
+        assert _run(["synth", "--n", "20", "--vocab-core", "4", "--vocab-shared", "4",
+                     "--output-dir", str(synth_dir)]) == 0
+        stop = tmp_path / "stop.txt"
+        stop.write_text("rant\n", encoding="utf-8")
+        out_dir = tmp_path / "model"
+        assert _run(["train", "--dataset", str(synth_dir / "dataset.jsonl"), "--min-df", "1",
+                     "--stopwords", str(stop), "--output-dir", str(out_dir)]) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+        assert list(manifest["inputs"]) == ["dataset"]
 
 
 class TestTopicsAndKeywords:
@@ -581,8 +698,35 @@ class TestExperimentCommand:
         out_dir = tmp_path / "reports"
         code = _run(["experiment", "--config", str(config), "--output-dir", str(out_dir)])
         assert code == 2
-        assert "absent.jsonl" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("commhate: data error: experiment 'broken': [Errno 2] ")
+        assert "absent.jsonl" in err and len(err.splitlines()) == 1
         assert not out_dir.exists() or not any(out_dir.iterdir())
+
+    @pytest.mark.parametrize("names,message", [
+        (["cvrun", "cvrun"], "experiment 'cvrun': name is used twice"),
+        (["../escaped"], "experiment '../escaped': name must be a plain file name"),
+        (["{tmp}/abs"], "experiment '{tmp}/abs': name must be a plain file name"),
+        (["a/b"], "experiment 'a/b': name must be a plain file name"),
+        (["."], "experiment '.': name must be a plain file name"),
+        ([".."], "experiment '..': name must be a plain file name"),
+    ], ids=["duplicate", "parent", "absolute", "subdir", "dot", "dotdot"])
+    def test_name_that_is_no_single_file_name_is_config_error(self, tmp_path, capsys,
+                                                              names, message):
+        # Each spec writes <output-dir>/<name>.{json,txt,csv}: a repeated name
+        # would overwrite, a path would write elsewhere.
+        config = self._setup(tmp_path)
+        obj = json.loads(config.read_text(encoding="utf-8"))
+        obj["experiments"] = [{**obj["experiments"][0], "name": n.format(tmp=tmp_path)}
+                              for n in names]
+        config.write_text(json.dumps(obj), encoding="utf-8")
+        capsys.readouterr()
+        out_dir = tmp_path / "reports" / "inner"
+        code = _run(["experiment", "--config", str(config), "--output-dir", str(out_dir)])
+        assert code == 1
+        message = message.format(tmp=tmp_path)
+        assert capsys.readouterr().err == f"commhate: error: {config}: {message}\n"
+        assert not (tmp_path / "reports").exists()
 
     def test_missing_dataset_file_exits_two(self, tmp_path, capsys):
         config = tmp_path / "run.json"
@@ -864,6 +1008,32 @@ class TestConfigPrecedence:
         assert manifest["params"]["epochs"] == 3
 
 
+def _readme_settings():
+    """(config key, flag, default) per row of README's settings table."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    rows, inside = [], False
+    for line in text.splitlines():
+        if line.startswith("| config key"):
+            inside = True
+        elif inside and not line.startswith("|"):
+            break
+        elif inside and not line.startswith("| ---"):
+            rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return [(key.strip("`"), flag.split("`")[1] if "`" in flag else None, default)
+            for key, flag, default, _read_by in rows]
+
+
+def test_readme_settings_table_matches_the_settings():
+    readme = _readme_settings()
+    assert [key for key, _f, _d in readme] == [_setting_id(row) for row in cli._SETTINGS]
+    for (key, flag, default), row in zip(readme, cli._SETTINGS):
+        assert flag == row[5], key
+        try:
+            assert float(default) == row[4], key
+        except ValueError:  # a word, not a number: `.`, "built-in list", "none"
+            assert default in (f"`{row[4]}`", "built-in list", "none"), key
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3)
@@ -902,17 +1072,18 @@ _CONFIGS = _object({
 
 def _check_config_bytes(data: bytes) -> None:
     """load_run_config either returns table-typed settings or raises a
-    ValueError/DataError whose message starts with the path."""
+    UsageError (bad content) or ValueError (unreadable file) whose message
+    starts with the path."""
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "run.json")
         with open(path, "wb") as fh:
             fh.write(data)
         try:
             cfg = cli.load_run_config(path)
-        except (ValueError, cli.DataError) as exc:
+        except (cli.UsageError, ValueError) as exc:
             assert str(exc).startswith(f"{path}: ")
             return
-    types = {dest: typ for _sec, _key, typ, dest, _default in cli._SETTINGS}
+    types = {dest: typ for _sec, _key, typ, dest, *_ in cli._SETTINGS}
     for dest, value in cfg.items():
         if dest == "experiments":
             assert all(isinstance(e, evaluation.ExperimentSpec) for e in value)
