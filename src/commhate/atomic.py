@@ -55,18 +55,21 @@ def write_text(path: str, text: str) -> None:
 
 
 def write_json(path: str, obj, indent: int | None = None) -> None:
-    """One JSON document, keys sorted, non-ASCII kept, newline-terminated."""
+    """One JSON document, keys sorted, non-ASCII kept, newline-terminated.
+    NaN and infinities are not JSON and raise ValueError."""
     with writing(path) as fh:
-        json.dump(obj, fh, ensure_ascii=False, sort_keys=True, indent=indent)
+        json.dump(obj, fh, ensure_ascii=False, allow_nan=False, sort_keys=True,
+                  indent=indent)
         fh.write("\n")
 
 
 def write_jsonl(path: str, rows: Iterable[dict]) -> int:
     """One compact JSON object per line, streamed; returns the row count."""
+    encode = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
     n = 0
     with writing(path) as fh:
         for n, row in enumerate(rows, 1):
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+            fh.write(encode(row) + "\n")
     return n
 
 

@@ -55,14 +55,13 @@ class TrainConfig:
         object.__setattr__(self, "algorithm", Algorithm(self.algorithm))
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        # All rates strictly positive: the decay schedule divides by
-        # 1 + eta0*lambda*t and NB smoothing must keep likelihoods finite.
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.l2_lambda <= 0:
-            raise ValueError("l2_lambda must be positive")
-        if self.nb_alpha <= 0:
-            raise ValueError("nb_alpha must be positive")
+        # All rates finite and strictly positive: the decay schedule divides
+        # by 1 + eta0*lambda*t and NB smoothing must keep likelihoods finite.
+        for name in ("learning_rate", "l2_lambda", "nb_alpha"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
 
 
 def _signs(labels: Sequence[str]) -> np.ndarray:

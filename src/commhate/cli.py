@@ -9,7 +9,9 @@ Conventions shared by every subcommand:
 * one global --seed, stretched into per-stage seeds by hashing stage names,
   so any stage can be rerun in isolation and reproduce its output;
 * every run drops a manifest.json (resolved parameters, input file hashes,
-  seeds, schema versions) next to its artifacts.
+  seeds, schema versions) next to its artifacts. A subcommand only computes
+  and returns (params, artifacts); main checks and hashes its inputs before
+  it runs and writes the manifest after.
 """
 
 from __future__ import annotations
@@ -57,6 +59,11 @@ _SETTINGS = (
 )
 
 
+def _is_file_name(name: str) -> bool:
+    """True when ``name`` joined onto a directory names a file directly in it."""
+    return name not in ("", ".", "..") and os.path.basename(name) == name
+
+
 def load_run_config(path: str) -> dict:
     """The settings a config file sets, keyed by argparse dest, with the
     experiments parsed into specs. Keys and types are checked against
@@ -94,7 +101,7 @@ def load_run_config(path: str) -> dict:
         names = [spec.name for spec in values["experiments"]]
         for i, name in enumerate(names):
             # Each spec writes <output_dir>/<name>.{json,txt,csv}.
-            if name in (".", "..") or os.path.basename(name) != name:
+            if not _is_file_name(name):
                 raise ValueError(f"experiment {name!r}: name must be a plain file name")
             if name in names[:i]:
                 raise ValueError(f"experiment {name!r}: name is used twice")
@@ -114,10 +121,13 @@ def _resolve(args, config: dict) -> None:
             value = config.get(dest, default)
         setattr(args, dest, None if value is None else typ(value))
     # topics --k (terms per side) has no config key; keywords' --k has one.
-    for name, value in (("min_df", args.min_df), ("k", args.keyword_k),
-                        ("k", getattr(args, "k", 1))):
+    for name, value in (("min_df", args.min_df), ("min_df", args.keyword_min_df),
+                        ("k", args.keyword_k), ("k", getattr(args, "k", 1))):
         if value < 1:
             raise UsageError(f"{name} must be >= 1")
+    # ingest and preprocess write <output_dir>/<output>.
+    if hasattr(args, "output") and not _is_file_name(args.output):
+        raise UsageError(f"--output {args.output!r}: name must be a plain file name")
     try:
         args.train_config = classifiers.TrainConfig(
             l2_lambda=args.l2_lambda, epochs=args.epochs,
@@ -132,12 +142,6 @@ def _resolve(args, config: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _require_files(*paths: str) -> None:
-    for p in paths:
-        if not os.path.isfile(p):
-            raise FileNotFoundError(f"input file not found: {p}")
-
-
 def _sha256_file(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -146,11 +150,21 @@ def _sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
-def _hash_inputs(inputs: dict) -> dict:
-    """The manifest's inputs, less the unset ones, with their sha256.
-    Commands take this before writing any artifact, since an artifact may
-    replace its own input."""
-    inputs = {name: path for name, path in inputs.items() if path}
+def _inputs(args) -> dict:
+    """The manifest's inputs: each input flag the subcommand reads (its
+    ``reads``) that is set, with its sha256. Every file is checked and
+    hashed before any is read, since an artifact may replace its own input.
+    A prepared --dataset stands in for --pos, --neg and --stopwords."""
+    reads = args.reads.split()
+    if "dataset" in reads:
+        if args.dataset:
+            reads = [name for name in reads if name not in ("pos", "neg", "stopwords")]
+        elif not (args.pos and args.neg):
+            raise UsageError("provide either --dataset or both --pos and --neg")
+    inputs = {name: getattr(args, name) for name in reads if getattr(args, name)}
+    for path in inputs.values():
+        if not os.path.isfile(path):
+            raise FileNotFoundError(f"input file not found: {path}")
     return {"inputs": inputs,
             "input_hashes": {p: _sha256_file(p) for p in inputs.values()}}
 
@@ -178,7 +192,6 @@ def _prep_config(args) -> textprep.PreprocessConfig:
     path = args.stopwords
     if path is None:
         return textprep.default_config()
-    _require_files(path)
     try:
         return textprep.PreprocessConfig(stopwords=textprep.load_stopwords(path))
     except UnicodeDecodeError as exc:
@@ -186,7 +199,6 @@ def _prep_config(args) -> textprep.PreprocessConfig:
 
 
 def _load_corpus(path: str, platform: corpus.Platform):
-    _require_files(path)
     slice_, skipped = corpus.load_jsonl(path, platform=platform)
     if skipped:
         print(f"note: skipped {skipped} malformed line(s) in {path}", file=sys.stderr)
@@ -205,67 +217,42 @@ def _out_dir(args) -> str:
     return args.output_dir
 
 
-def _source_inputs(args) -> dict:
-    """The inputs of a train or evaluate dataset, checked before any is read."""
-    if args.dataset:
-        return {"dataset": args.dataset}
-    if not (args.pos and args.neg):
-        raise UsageError("provide either --dataset or both --pos and --neg")
-    return {"pos": args.pos, "neg": args.neg, "stopwords": args.stopwords}
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
-def cmd_ingest(args) -> int:
-    _require_files(args.input)
-    inputs = _hash_inputs({"input": args.input})
+def cmd_ingest(args) -> tuple[dict, list[str]]:
     platform = corpus.Platform(args.platform)
     communities = set(args.community) if args.community else None
-    out_dir = _out_dir(args)
-    out_path = os.path.join(out_dir, args.output)
+    out_path = os.path.join(_out_dir(args), args.output)
     skipped = []
     n = corpus.write_jsonl(corpus.iter_jsonl(
         args.input, community_filter=communities, platform=platform,
         strict=args.strict, on_skip=skipped.append,
     ), out_path)
-    _write_manifest(
-        out_dir, "ingest",
-        {"platform": platform.value, "communities": sorted(communities or []),
-         "strict": args.strict, "skipped": len(skipped), "kept": n},
-        inputs, [out_path],
-    )
     print(f"ingested {n} comment(s) -> {out_path} ({len(skipped)} malformed skipped)")
-    return 0
+    return ({"platform": platform.value, "communities": sorted(communities or []),
+             "strict": args.strict, "skipped": len(skipped), "kept": n}, [out_path])
 
 
-def cmd_preprocess(args) -> int:
-    _require_files(args.input)
+def cmd_preprocess(args) -> tuple[dict, list[str]]:
     prep = _prep_config(args)
-    inputs = _hash_inputs({"input": args.input, "stopwords": args.stopwords})
-    out_dir = _out_dir(args)
-    out_path = os.path.join(out_dir, args.output)
+    out_path = os.path.join(_out_dir(args), args.output)
     slice_ = _load_corpus(args.input, corpus.Platform(args.platform))
     kept, dropped = corpus._tokenized(slice_, prep)
     atomic.write_jsonl(out_path, ({"id": c.id, "community": c.community, "tokens": toks}
                                   for c, toks in kept))
-    _write_manifest(
-        out_dir, "preprocess",
-        {"kept": len(kept), "dropped": dropped, "stopwords": len(prep.stopwords)},
-        inputs, [out_path],
-    )
     print(f"preprocessed {len(kept)} comment(s) -> {out_path} ({dropped} dropped)")
-    return 0
+    return ({"kept": len(kept), "dropped": dropped, "stopwords": len(prep.stopwords)},
+            [out_path])
 
 
-def cmd_topics(args) -> int:
+def cmd_topics(args) -> tuple[dict, list[str]]:
     prep = _prep_config(args)
     llda_cfg = dataclasses.replace(args.llda_config, seed=derive_seed(args.seed, "topics"))
     pos = _load_corpus(args.pos, corpus.Platform(args.platform))
     neg = _load_corpus(args.neg, corpus.Platform(args.platform))
-    inputs = _hash_inputs({"pos": args.pos, "neg": args.neg, "stopwords": args.stopwords})
     pos_docs = _tokenize_corpus(pos, prep)
     neg_docs = _tokenize_corpus(neg, prep)
     model = topics.fit_two_sides(pos_docs, neg_docs, llda_cfg)
@@ -276,24 +263,17 @@ def cmd_topics(args) -> int:
     atomic.write_json(json_path, report, indent=2)
     table = topics.format_topic_table(report)
     atomic.write_text(txt_path, table)
-    _write_manifest(
-        out_dir, "topics",
-        {"k": args.k, "ranking": args.ranking, "seed": args.seed,
-         "llda": {"beta": llda_cfg.beta}},
-        inputs, [json_path, txt_path],
-    )
     print(table, end="")
-    return 0
+    return ({"k": args.k, "ranking": args.ranking, "seed": args.seed,
+             "llda": {"beta": llda_cfg.beta}}, [json_path, txt_path])
 
 
-def cmd_keywords(args) -> int:
+def cmd_keywords(args) -> tuple[dict, list[str]]:
     prep = _prep_config(args)
     method = keywords.KeywordMethod(args.method)
     llda_cfg = dataclasses.replace(args.llda_config, seed=derive_seed(args.seed, "keywords"))
     hate = _load_corpus(args.hate, corpus.Platform(args.platform))
     contrast = _load_corpus(args.contrast, corpus.Platform(args.platform))
-    inputs = _hash_inputs({"hate": args.hate, "contrast": args.contrast,
-                           "stopwords": args.stopwords})
     ks = keywords.build_keyword_set(
         method,
         _tokenize_corpus(hate, prep),
@@ -306,20 +286,14 @@ def cmd_keywords(args) -> int:
     txt_path = os.path.join(out_dir, "keywords.txt")
     keywords.save_keyword_set(ks, json_path)
     atomic.write_text(txt_path, keywords.format_keyword_list(ks))
-    _write_manifest(
-        out_dir, "keywords",
-        {"method": method.value, "k": args.keyword_k, "min_df": args.keyword_min_df,
-         "target_group": args.target_group, "seed": args.seed},
-        inputs, [json_path, txt_path],
-    )
     print(f"{ks.k} keyword(s) [{method.value}] -> {json_path}")
-    return 0
+    return ({"method": method.value, "k": args.keyword_k, "min_df": args.keyword_min_df,
+             "target_group": args.target_group, "seed": args.seed}, [json_path, txt_path])
 
 
 def _assemble_dataset(args, seed: int):
     """Dataset from either a prepared file or a pos/neg corpus pair."""
     if args.dataset:
-        _require_files(args.dataset)
         return corpus.load_dataset(args.dataset), None
     prep = _prep_config(args)
     pos = _load_corpus(args.pos, corpus.Platform(args.platform))
@@ -327,10 +301,8 @@ def _assemble_dataset(args, seed: int):
     return corpus.build_balanced(pos, neg, seed=seed, config=prep)
 
 
-def cmd_train(args) -> int:
-    sources = _source_inputs(args)
+def cmd_train(args) -> tuple[dict, list[str]]:
     ds, dropped = _assemble_dataset(args, derive_seed(args.seed, "train", "dataset"))
-    inputs = _hash_inputs(sources)
     train_cfg = dataclasses.replace(args.train_config, algorithm=args.algorithm,
                                     seed=derive_seed(args.seed, "train", "fit"))
     vec = vectorizer.fit_tfidf(ds.documents, min_df=args.min_df)
@@ -348,25 +320,18 @@ def cmd_train(args) -> int:
     model_path = os.path.join(out_dir, "model.json")
     vectorizer.save_tfidf(vec, vec_path)
     classifiers.save_model(model, model_path, vectorizer.model_fingerprint(vec))
-    artifacts += [vec_path, model_path]
-    _write_manifest(
-        out_dir, "train",
-        {"algorithm": train_cfg.algorithm.value, "min_df": args.min_df, "seed": args.seed,
-         "epochs": train_cfg.epochs, "l2_lambda": train_cfg.l2_lambda,
-         "learning_rate": train_cfg.learning_rate, "nb_alpha": train_cfg.nb_alpha,
-         "n_docs": len(ds), "dropped": dropped,
-         "dataset_fingerprint": corpus.dataset_fingerprint(ds)},
-        inputs, artifacts,
-    )
     n_pos, n_neg = ds.counts()
     print(f"trained {train_cfg.algorithm.value} on {len(ds)} docs "
           f"({n_pos} pos / {n_neg} neg, vocab {vec.dim}) -> {model_path}")
-    return 0
+    return ({"algorithm": train_cfg.algorithm.value, "min_df": args.min_df, "seed": args.seed,
+             "epochs": train_cfg.epochs, "l2_lambda": train_cfg.l2_lambda,
+             "learning_rate": train_cfg.learning_rate, "nb_alpha": train_cfg.nb_alpha,
+             "n_docs": len(ds), "dropped": dropped,
+             "dataset_fingerprint": corpus.dataset_fingerprint(ds)},
+            artifacts + [vec_path, model_path])
 
 
-def cmd_evaluate(args) -> int:
-    sources = _source_inputs(args)
-    _require_files(args.model, args.vectorizer)
+def cmd_evaluate(args) -> tuple[dict, list[str]]:
     vec = vectorizer.load_tfidf(args.vectorizer)
     model, recorded_hash = classifiers.load_model(args.model)
     actual = vectorizer.model_fingerprint(vec)
@@ -381,12 +346,10 @@ def cmd_evaluate(args) -> int:
             f"{vec.dim} terms"
         )
     ds, _ = _assemble_dataset(args, derive_seed(args.seed, "evaluate", "dataset"))
-    inputs = _hash_inputs({"model": args.model, "vectorizer": args.vectorizer, **sources})
     kind = model.algorithm
     predicted = model.predict_all(evaluation.vectors_for(kind, vec, ds.documents))
     metrics = evaluation.compute_metrics(predicted, ds.labels)
-    out_dir = _out_dir(args)
-    out_path = os.path.join(out_dir, "evaluation.json")
+    out_path = os.path.join(_out_dir(args), "evaluation.json")
     payload = {
         "version": evaluation.REPORT_SCHEMA_VERSION,
         "algorithm": kind.value,
@@ -395,20 +358,16 @@ def cmd_evaluate(args) -> int:
         "vectorizer_fingerprint": actual,
     }
     atomic.write_json(out_path, payload, indent=2)
-    _write_manifest(out_dir, "evaluate",
-                    {"algorithm": kind.value, "seed": args.seed, "n_docs": len(ds)},
-                    inputs, [out_path])
     print(f"{kind.value}: acc {metrics.accuracy:.2f} prec {metrics.precision:.2f} "
           f"rec {metrics.recall:.2f} f1 {metrics.f1:.2f} kappa {metrics.kappa:.2f}")
-    return 0
+    return {"algorithm": kind.value, "seed": args.seed, "n_docs": len(ds)}, [out_path]
 
 
-def cmd_experiment(args) -> int:
+def cmd_experiment(args) -> tuple[dict, list[str]]:
     if not args.experiments:
         raise UsageError(
             "no experiments defined; put an 'experiments' list in the config file"
         )
-    inputs = _hash_inputs({"config": args.config})
     base_dir = os.path.dirname(os.path.abspath(args.config)) if args.config else "."
     reports = []
     for spec in args.experiments:
@@ -429,15 +388,10 @@ def cmd_experiment(args) -> int:
         artifacts += [stem + ".json", stem + ".txt", stem + ".csv"]
         print(f"# {spec.name}")
         print(table, end="")
-    _write_manifest(
-        out_dir, "experiment",
-        {"experiments": [s.name for s in args.experiments], "min_df": args.min_df},
-        inputs, artifacts,
-    )
-    return 0
+    return {"experiments": [s.name for s in args.experiments], "min_df": args.min_df}, artifacts
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> tuple[dict, list[str]]:
     try:
         spec = synthgen.SynthSpec(
             n_docs=args.n, vocab_core=args.vocab_core, vocab_shared=args.vocab_shared,
@@ -457,16 +411,12 @@ def cmd_synth(args) -> int:
     synthgen.write_ground_truth(gt, gt_path)
     ds, _ = corpus.build_balanced(pos, neg, seed=derive_seed(args.seed, "synth", "dataset"))
     corpus.write_dataset(ds, ds_path)
-    _write_manifest(
-        out_dir, "synth",
-        {"n": args.n, "overlap": args.overlap, "vocab_core": args.vocab_core,
-         "vocab_shared": args.vocab_shared, "doc_len": [args.doc_len_min, args.doc_len_max],
-         "zipf": args.zipf, "seed": args.seed,
-         "dataset_fingerprint": corpus.dataset_fingerprint(ds)},
-        _hash_inputs({}), [pos_path, neg_path, gt_path, ds_path],
-    )
     print(f"generated {len(pos)}+{len(neg)} comments -> {out_dir}")
-    return 0
+    return ({"n": args.n, "overlap": args.overlap, "vocab_core": args.vocab_core,
+             "vocab_shared": args.vocab_shared, "doc_len": [args.doc_len_min, args.doc_len_max],
+             "zipf": args.zipf, "seed": args.seed,
+             "dataset_fingerprint": corpus.dataset_fingerprint(ds)},
+            [pos_path, neg_path, gt_path, ds_path])
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +452,10 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"commhate {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="subcommand")
 
+    # Each subcommand's reads: the flags naming the files it reads, which
+    # main checks and hashes before the subcommand runs.
     p = sub.add_parser("ingest", help="filter a JSONL dump by community")
+    p.set_defaults(reads="input")
     p.add_argument("--input", required=True, help="JSONL or JSONL.gz dump")
     p.add_argument("--community", action="append", default=None,
                    help="community to keep (repeatable; default: all)")
@@ -513,11 +466,13 @@ def build_parser() -> _Parser:
     _add_platform(p)
 
     p = sub.add_parser("preprocess", help="tokenize a corpus")
+    p.set_defaults(reads="input stopwords")
     p.add_argument("--input", required=True)
     p.add_argument("--output", default="tokens.jsonl")
     _add_platform(p)
 
     p = sub.add_parser("topics", help="two-sided topic model and overlap")
+    p.set_defaults(reads="pos neg stopwords")
     p.add_argument("--pos", required=True, help="community corpus JSONL")
     p.add_argument("--neg", required=True, help="background corpus JSONL")
     p.add_argument("--k", type=int, default=15, help="terms per side (default 15)")
@@ -526,6 +481,7 @@ def build_parser() -> _Parser:
     _add_platform(p)
 
     p = sub.add_parser("keywords", help="extract a keyword set")
+    p.set_defaults(reads="hate contrast stopwords")
     p.add_argument("--method", required=True,
                    choices=[m.value for m in keywords.KeywordMethod])
     p.add_argument("--hate", required=True, help="hate corpus JSONL")
@@ -535,18 +491,22 @@ def build_parser() -> _Parser:
     _add_platform(p)
 
     p = sub.add_parser("train", help="train a classifier")
+    p.set_defaults(reads="dataset pos neg stopwords")
     p.add_argument("--algorithm", default="lr",
                    choices=[a.value for a in classifiers.Algorithm])
     _add_dataset_source(p)
 
     p = sub.add_parser("evaluate", help="score a trained model on a dataset")
+    p.set_defaults(reads="model vectorizer dataset pos neg stopwords")
     p.add_argument("--model", required=True)
     p.add_argument("--vectorizer", required=True)
     _add_dataset_source(p)
 
-    sub.add_parser("experiment", help="run experiment specs from a config")
+    p = sub.add_parser("experiment", help="run experiment specs from a config")
+    p.set_defaults(reads="config")
 
     p = sub.add_parser("synth", help="generate a synthetic two-sided corpus")
+    p.set_defaults(reads="")
     p.add_argument("--n", type=int, default=500, help="documents per side")
     p.add_argument("--overlap", type=float, default=0.0)
     p.add_argument("--vocab-core", dest="vocab_core", type=int, default=50)
@@ -580,13 +540,16 @@ def main(argv=None) -> int:
         return 1
     try:
         _resolve(args, load_run_config(args.config) if args.config else {})
-        return args.func(args)
+        inputs = _inputs(args)
+        params, artifacts = args.func(args)
+        _write_manifest(args.output_dir, args.command, params, inputs, artifacts)
     except UsageError as exc:
         print(f"commhate: error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
         print(f"commhate: data error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

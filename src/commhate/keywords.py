@@ -82,6 +82,8 @@ def chi2_scores(
     Symmetric in the two corpora. Terms present in fewer than min_df
     documents overall are excluded before scoring.
     """
+    if min_df < 1:
+        raise ValueError("min_df must be >= 1")
     if not positive_docs or not negative_docs:
         raise ValueError("both corpora must be non-empty")
     n_pos, n_neg = len(positive_docs), len(negative_docs)

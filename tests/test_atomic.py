@@ -50,6 +50,14 @@ class TestFailedWrite:
             atomic.write_json(str(tmp_path / "new.json"), {"a": 1})
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("write", [atomic.write_json, atomic.write_jsonl])
+    def test_non_finite_number_is_refused(self, tmp_path, write, value):
+        # NaN and Infinity are not JSON: no artifact may hold one.
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write(str(tmp_path / "new.json"), [{"w": [1.0, value]}])
+        assert os.listdir(tmp_path) == []
+
     def test_interrupted_gz_ingest_keeps_old_artifacts(self, tmp_path, monkeypatch):
         src = tmp_path / "dump.jsonl"
         _reddit_dump(src, 200)

@@ -370,6 +370,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["learning_rate", "l2_lambda", "nb_alpha"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_rates(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            TrainConfig(**{name: value})
+
     def test_algorithm_coerced_from_string(self):
         assert TrainConfig(algorithm="svm").algorithm is Algorithm.SVM
         with pytest.raises(ValueError):

@@ -165,13 +165,43 @@ class TestEntryPoints:
         (["topics", "--pos", "{absent}", "--neg", "{absent}", "--k", "0"], "k must be >= 1"),
         (["keywords", "--method", "chi2_i", "--hate", "{absent}", "--contrast", "{absent}",
           "--k", "0"], "k must be >= 1"),
+        (["keywords", "--method", "chi2_i", "--hate", "{absent}", "--contrast", "{absent}",
+          "--min-df", "-5"], "min_df must be >= 1"),
+        (["train", "--dataset", "{absent}", "--nb-alpha", "1e400"], "nb_alpha must be finite"),
+        (["train", "--dataset", "{absent}", "--learning-rate", "nan"],
+         "learning_rate must be finite"),
+        (["train", "--dataset", "{absent}", "--learning-rate", "inf"],
+         "learning_rate must be finite"),
+        (["train", "--dataset", "{absent}", "--l2-lambda", "inf"], "l2_lambda must be finite"),
+        (["ingest", "--input", "{absent}", "--output", "../escaped.jsonl"],
+         "--output '../escaped.jsonl': name must be a plain file name"),
+        (["preprocess", "--input", "{absent}", "--output", "{absent}"],
+         "--output '{absent}': name must be a plain file name"),
+        (["ingest", "--input", "{absent}", "--output", ".."],
+         "--output '..': name must be a plain file name"),
+        (["preprocess", "--input", "{absent}", "--output", ""],
+         "--output '': name must be a plain file name"),
     ], ids=["epochs", "l2-lambda", "learning-rate", "nb-alpha", "beta", "min-df", "topics-k",
-            "keywords-k"])
+            "keywords-k", "keywords-min-df", "nb-alpha-overflow", "learning-rate-nan",
+            "learning-rate-inf", "l2-lambda-inf", "output-parent", "output-absolute",
+            "output-dotdot", "output-empty"])
     def test_bad_setting_exits_one_before_reading(self, tmp_path, capsys, argv, message):
         out_dir = tmp_path / "out"
         argv = [a.format(absent=tmp_path / "absent.jsonl") for a in argv]
         assert _run(argv + ["--output-dir", str(out_dir)]) == 1
+        message = message.format(absent=tmp_path / "absent.jsonl")
         assert capsys.readouterr().err == f"commhate: error: {message}\n"
+        assert os.listdir(tmp_path) == []  # no output directory, nothing beside it
+
+    def test_non_finite_rate_in_config_exits_one(self, tmp_path, capsys):
+        # JSON reads 1e400 as infinity; naive Bayes smoothed with it would
+        # save NaN weights that evaluate then refuses.
+        config = tmp_path / "run.json"
+        config.write_text('{"train": {"nb_alpha": 1e400}}', encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert _run(["train", "--dataset", str(tmp_path / "absent.jsonl"), "--algorithm", "nb",
+                     "--config", str(config), "--output-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err == "commhate: error: nb_alpha must be finite\n"
         assert not out_dir.exists()
 
     def test_output_dir_below_a_file_exits_two(self, tmp_path, capsys):
@@ -402,6 +432,59 @@ class TestStopwordInput:
         assert list(manifest["inputs"]) == ["dataset"]
 
 
+class TestManifestInputs:
+    """A manifest names and hashes exactly the files its command reads: a
+    prepared dataset stands in for pos, neg and stopwords, the stop-word file
+    appears only where the command tokenizes, and the config only for
+    experiment, which reads its specs from it."""
+
+    @pytest.fixture()
+    def files(self, corpora, tmp_path):
+        pos, neg = corpora
+        model_dir = tmp_path / "model"
+        assert _run(["train", "--pos", str(pos), "--neg", str(neg), "--min-df", "1",
+                     "--output-dir", str(model_dir)]) == 0
+        stop = tmp_path / "stop.txt"
+        stop.write_text("rant\n", encoding="utf-8")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"experiments": [
+            {"name": "x", "train_source": str(model_dir / "dataset.jsonl"),
+             "test_source": "cv:2"}]}), encoding="utf-8")
+        return {"input": pos, "pos": pos, "neg": neg, "hate": pos, "contrast": neg,
+                "model": model_dir / "model.json", "vectorizer": model_dir / "vectorizer.json",
+                "dataset": model_dir / "dataset.jsonl", "stopwords": stop, "config": config}
+
+    @pytest.mark.parametrize("argv,inputs", [
+        ("synth --n 10", ""),
+        ("ingest --input {input}", "input"),
+        ("preprocess --input {input} --stopwords {stopwords}", "input stopwords"),
+        ("topics --pos {pos} --neg {neg} --k 2 --stopwords {stopwords}", "pos neg stopwords"),
+        ("keywords --method chi2_i --hate {hate} --contrast {contrast} --k 2 --min-df 1 "
+         "--stopwords {stopwords}", "hate contrast stopwords"),
+        ("train --pos {pos} --neg {neg} --min-df 1 --stopwords {stopwords}",
+         "pos neg stopwords"),
+        ("train --dataset {dataset} --pos {pos} --neg {neg} --min-df 1 "
+         "--stopwords {stopwords}", "dataset"),
+        ("evaluate --model {model} --vectorizer {vectorizer} --pos {pos} --neg {neg} "
+         "--stopwords {stopwords}", "model vectorizer pos neg stopwords"),
+        ("evaluate --model {model} --vectorizer {vectorizer} --dataset {dataset} "
+         "--pos {pos} --neg {neg} --stopwords {stopwords}", "model vectorizer dataset"),
+        ("experiment", "config"),
+    ], ids=["synth", "ingest", "preprocess", "topics", "keywords", "train-pair",
+            "train-dataset", "evaluate-pair", "evaluate-dataset", "experiment"])
+    def test_manifest_inputs_are_the_files_read(self, files, tmp_path, capsys, argv, inputs):
+        out_dir = tmp_path / "out"
+        argv = [a.format(**files) for a in argv.split()]
+        assert _run(argv + ["--config", str(files["config"]),
+                            "--output-dir", str(out_dir)]) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+        expected = {name: str(files[name]) for name in inputs.split()}
+        assert manifest["inputs"] == expected
+        assert manifest["input_hashes"] == {
+            path: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            for path in expected.values()}
+
+
 class TestTopicsAndKeywords:
     def test_topics_artifacts(self, corpora, tmp_path, capsys):
         pos, neg = corpora
@@ -557,6 +640,22 @@ class TestSynthTrainEvaluate:
         assert err.startswith("commhate: data error: ") and message in err
         assert len(err.splitlines()) == 1
         assert not eval_dir.exists()
+
+    def test_evaluate_checks_every_input_before_reading_any(self, tmp_path, capsys):
+        # The model is malformed, but the missing dataset is found first.
+        synth_dir, train_dir = tmp_path / "synth", tmp_path / "model"
+        assert self._synth(synth_dir) == 0
+        assert _run(["train", "--dataset", str(synth_dir / "dataset.jsonl"),
+                     "--min-df", "1", "--output-dir", str(train_dir)]) == 0
+        bad = tmp_path / "bad_model.json"
+        bad.write_text("{", encoding="utf-8")
+        absent = tmp_path / "absent.jsonl"
+        capsys.readouterr()
+        assert _run(["evaluate", "--model", str(bad),
+                     "--vectorizer", str(train_dir / "vectorizer.json"),
+                     "--dataset", str(absent), "--output-dir", str(tmp_path / "eval")]) == 2
+        assert capsys.readouterr().err == f"commhate: data error: input file not found: {absent}\n"
+        assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize("command", ["train", "experiment"])
     def test_min_df_below_one_is_usage_error(self, tmp_path, capsys, command):

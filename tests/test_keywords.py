@@ -89,6 +89,11 @@ class TestChi2:
         with pytest.raises(ValueError, match="non-empty"):
             chi2_scores([["a"]], [])
 
+    @pytest.mark.parametrize("min_df", [0, -5])
+    def test_rejects_min_df_below_one(self, min_df):
+        with pytest.raises(ValueError, match="min_df must be >= 1"):
+            chi2_scores([["a"]], [["b"]], min_df=min_df)
+
     @given(st.integers(0, 100_000))
     @settings(max_examples=50, deadline=None)
     def test_scores_bounded_by_n_and_nonnegative(self, seed):
