@@ -73,7 +73,7 @@ def write_jsonl(path: str, rows: Iterable[dict]) -> int:
     return n
 
 
-def _open_read(path: str):
+def open_read(path: str):
     """``path`` opened for binary reading, gunzipped if it ends in .gz."""
     try:
         return gzip.open(path, "rb") if str(path).endswith(".gz") else open(path, "rb")
@@ -85,7 +85,7 @@ def _open_read(path: str):
 
 def read_json(path: str):
     """The one JSON document in ``path``."""
-    with _open_read(path) as fh:
+    with open_read(path) as fh:
         try:
             return json.loads(fh.read().decode("utf-8"))
         except (OSError, EOFError, zlib.error) as exc:  # an I/O error, a damaged .gz
@@ -105,7 +105,7 @@ def read_jsonl(path: str, parse: Callable, strict: bool = False,
     the stream; the lines before the damage are kept and the damage is one
     malformed line (strict mode names the last complete line).
     """
-    with _open_read(path) as fh:
+    with open_read(path) as fh:
         lineno = 0
         try:
             for lineno, raw in enumerate(fh, 1):

@@ -154,7 +154,8 @@ def _inputs(args) -> dict:
     """The manifest's inputs: each input flag the subcommand reads (its
     ``reads``) that is set, with its sha256. Every file is checked and
     hashed before any is read, since an artifact may replace its own input.
-    A prepared --dataset stands in for --pos, --neg and --stopwords."""
+    A prepared --dataset stands in for --pos, --neg and --stopwords, and
+    experiment also reads each spec's datasets, as <name>.<field>."""
     reads = args.reads.split()
     if "dataset" in reads:
         if args.dataset:
@@ -165,6 +166,15 @@ def _inputs(args) -> dict:
     for path in inputs.values():
         if not os.path.isfile(path):
             raise FileNotFoundError(f"input file not found: {path}")
+    if args.command == "experiment":
+        for spec in args.experiments:
+            base_dir = os.path.dirname(args.config)  # specs come from the config file
+            for field, path in evaluation.dataset_paths(spec, base_dir).items():
+                try:
+                    atomic.open_read(path).close()
+                except (ValueError, OSError) as exc:
+                    raise ValueError(f"experiment {spec.name!r}: {exc}") from None
+                inputs[f"{spec.name}.{field}"] = path
     return {"inputs": inputs,
             "input_hashes": {p: _sha256_file(p) for p in inputs.values()}}
 
@@ -368,7 +378,7 @@ def cmd_experiment(args) -> tuple[dict, list[str]]:
         raise UsageError(
             "no experiments defined; put an 'experiments' list in the config file"
         )
-    base_dir = os.path.dirname(os.path.abspath(args.config)) if args.config else "."
+    base_dir = os.path.dirname(args.config)  # specs name datasets relative to it
     reports = []
     for spec in args.experiments:
         try:

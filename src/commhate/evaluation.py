@@ -16,7 +16,10 @@ from __future__ import annotations
 import csv
 import io
 import os
+import pickle
 import time
+import warnings
+from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -83,28 +86,21 @@ class MetricSummary:
     kappa: float
 
 
+_COLUMNS = ("accuracy", "precision", "recall", "f1", "kappa")
+
+
 def tally_counts(predicted: Sequence[str], expected: Sequence[str]) -> ConfusionCounts:
     if len(predicted) != len(expected):
-        raise ValueError(
-            f"length mismatch: {len(predicted)} predictions vs {len(expected)} truths"
-        )
+        raise ValueError(f"length mismatch: {len(predicted)} predictions vs "
+                         f"{len(expected)} truths")
     if not predicted:
         raise ValueError("cannot tally empty label sequences")
-    tp = fp = tn = fn = 0
-    for p, e in zip(predicted, expected):
+    pairs = Counter(zip(predicted, expected))
+    for p, e in pairs:
         if p not in (POSITIVE, NEGATIVE) or e not in (POSITIVE, NEGATIVE):
             raise ValueError(f"unknown label in pair ({p!r}, {e!r})")
-        if p == POSITIVE:
-            if e == POSITIVE:
-                tp += 1
-            else:
-                fp += 1
-        else:
-            if e == POSITIVE:
-                fn += 1
-            else:
-                tn += 1
-    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
+    return ConfusionCounts(tp=pairs[POSITIVE, POSITIVE], fp=pairs[POSITIVE, NEGATIVE],
+                           tn=pairs[NEGATIVE, NEGATIVE], fn=pairs[NEGATIVE, POSITIVE])
 
 
 def metrics_from_counts(counts: ConfusionCounts) -> EvalMetrics:
@@ -149,13 +145,8 @@ def mean_of(per_fold: Sequence[EvalMetrics]) -> MetricSummary:
     k = len(per_fold)
     if k == 0:
         raise ValueError("no fold metrics to average")
-    return MetricSummary(
-        accuracy=_left_sum(m.accuracy for m in per_fold) / k,
-        precision=_left_sum(m.precision for m in per_fold) / k,
-        recall=_left_sum(m.recall for m in per_fold) / k,
-        f1=_left_sum(m.f1 for m in per_fold) / k,
-        kappa=_left_sum(m.kappa for m in per_fold) / k,
-    )
+    return MetricSummary(**{name: _left_sum(getattr(m, name) for m in per_fold) / k
+                            for name in _COLUMNS})
 
 
 def pooled_of(per_fold: Sequence[EvalMetrics]) -> EvalMetrics:
@@ -181,20 +172,84 @@ def vectors_for(kind: Algorithm, model: TfidfModel, documents) -> CsrBatch:
     return model.transform_all(documents)
 
 
-def train_and_eval(
-    train_ds: LabeledDataset,
-    test_ds: LabeledDataset,
-    kind: Algorithm,
-    seed: int,
-    min_df: int = DEFAULT_MIN_DF,
-) -> tuple[EvalMetrics, str]:
-    """Fit the vectorizer on the training split only, train one classifier,
-    and score the test split. Returns (metrics, vectorizer fingerprint)."""
-    vec = fit_tfidf(train_ds.documents, min_df=min_df)
+def train_and_eval(train_ds: LabeledDataset, test_ds: LabeledDataset, kind: Algorithm,
+                   seed: int, min_df: int = DEFAULT_MIN_DF,
+                   vec: TfidfModel | None = None) -> tuple[EvalMetrics, str]:
+    """Fit the vectorizer on the training split only (unless ``vec`` is that
+    fit already), train one classifier, and score the test split. Returns
+    (metrics, vectorizer fingerprint)."""
+    if vec is None:
+        vec = fit_tfidf(train_ds.documents, min_df=min_df)
     cfg = TrainConfig(algorithm=kind, seed=seed)
     model = train(vectors_for(kind, vec, train_ds.documents), train_ds.labels, cfg)
     predicted = model.predict_all(vectors_for(kind, vec, test_ds.documents))
     return compute_metrics(predicted, test_ds.labels), model_fingerprint(vec)
+
+
+def _outcomes(fn, items) -> list:
+    """(True, fn(item)) per item, up to and including the first (False, exception)."""
+    out = []
+    for item in items:
+        try:
+            out.append((True, fn(item)))
+        except Exception as exc:
+            out.append((False, exc))
+            break
+    return out
+
+
+def _fork_map(fn, items: list, prepare=lambda item: item) -> list:
+    """[fn(prepare(item)) for item in items], the items dealt round-robin to
+    one process per CPU this process may run on. prepare runs here, for a
+    child's share just before its fork, so one share at a time is prepared.
+    Raises the first failing item's exception, in item order."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    n = max(1, min(cpus if hasattr(os, "fork") else 1, len(items)))
+    children = {}  # pid -> the read end of its pipe
+    try:
+        for share in range(1, n):
+            prepared = [prepare(item) for item in items[share::n]]
+            r, w = os.pipe()
+            with warnings.catch_warnings():
+                # Python 3.12+ warns that forking a process with threads (numpy's
+                # BLAS pool) may deadlock the child. Not this child: it calls no
+                # BLAS routine and never returns to the caller's stack.
+                warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded",
+                                        DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:  # the child leaves by os._exit, whatever happens
+                try:
+                    with open(w, "wb") as fh:
+                        fh.write(pickle.dumps(_outcomes(fn, prepared)))
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            del prepared
+            os.close(w)
+            children[pid] = open(r, "rb")
+        shares = [_outcomes(lambda item: fn(prepare(item)), items[0::n])]
+        for pid in list(children):
+            data = children[pid].read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(pid).close()
+            if code != 0 or not data:
+                raise OSError(f"worker process exited with status {code} before "
+                              f"sending its results")
+            shares.append(pickle.loads(data))
+    finally:
+        for pid, fh in children.items():
+            fh.close()
+            os.waitpid(pid, 0)
+    results = []
+    for i in range(len(items)):
+        ok, value = shares[i % n][i // n]
+        if not ok:
+            raise value
+        results.append(value)
+    return results
 
 
 @dataclass(frozen=True)
@@ -206,40 +261,31 @@ class CvResult:
     vectorizer_fingerprints: tuple[str, ...]
 
 
-def cross_validate(
-    dataset: LabeledDataset,
-    k: int,
-    kinds: Sequence[Algorithm],
-    seed: int = 0,
-    min_df: int = DEFAULT_MIN_DF,
-) -> dict[Algorithm, CvResult]:
+def cross_validate(dataset: LabeledDataset, k: int, kinds: Sequence[Algorithm], seed: int = 0,
+                   min_df: int = DEFAULT_MIN_DF) -> dict[Algorithm, CvResult]:
     """Stratified k-fold CV with a fresh vectorizer per fold (train side
-    only, so folds cannot leak vocabulary into each other)."""
-    kinds = tuple(dict.fromkeys(Algorithm(x) for x in kinds))
+    only, so folds cannot leak vocabulary into each other). This process
+    fits every (kind, fold) vectorizer; _fork_map runs the rest of each task
+    on the CPUs this process may use, with the same results on any number."""
+    kinds = sorted(dict.fromkeys(Algorithm(x) for x in kinds), key=lambda a: a.value)
     if not kinds:
         raise ValueError("at least one classifier kind required")
     splits = kfold_split(dataset, k, derive_seed(seed, "cv", "folds"))
-    results: dict[Algorithm, CvResult] = {}
-    for kind in sorted(kinds, key=lambda a: a.value):
-        fold_metrics: list[EvalMetrics] = []
-        fingerprints: list[str] = []
-        for fold_index, (train_idx, test_idx) in enumerate(splits):
-            m, fp = train_and_eval(
-                dataset.subset(train_idx),
-                dataset.subset(test_idx),
-                kind,
-                seed=derive_seed(seed, "cv", kind.value, fold_index),
-                min_df=min_df,
-            )
-            fold_metrics.append(m)
-            fingerprints.append(fp)
-        results[kind] = CvResult(
-            algorithm=kind,
-            per_fold=tuple(fold_metrics),
-            mean=mean_of(fold_metrics),
-            pooled=pooled_of(fold_metrics),
-            vectorizer_fingerprints=tuple(fingerprints),
-        )
+
+    def prepare(task):
+        kind, fold_index = task
+        train_ds = dataset.subset(splits[fold_index][0])
+        return dict(train_ds=train_ds, test_ds=dataset.subset(splits[fold_index][1]), kind=kind,
+                    seed=derive_seed(seed, "cv", kind.value, fold_index),
+                    vec=fit_tfidf(train_ds.documents, min_df=min_df))
+
+    tasks = [(kind, fold_index) for kind in kinds for fold_index in range(len(splits))]
+    outcomes = iter(_fork_map(lambda kwargs: train_and_eval(**kwargs), tasks, prepare))
+    results = {}
+    for kind in kinds:
+        per_fold, fingerprints = zip(*(next(outcomes) for _ in splits))
+        results[kind] = CvResult(kind, per_fold, mean_of(per_fold), pooled_of(per_fold),
+                                 fingerprints)
     return results
 
 
@@ -318,14 +364,7 @@ def experiment_from_dict(obj: dict) -> ExperimentSpec:
 
 
 def experiment_to_dict(spec: ExperimentSpec) -> dict:
-    return {
-        "name": spec.name,
-        "train_source": spec.train_source,
-        "test_source": spec.test_source,
-        "kinds": [k.value for k in spec.kinds],
-        "seed": spec.seed,
-        "imbalance_ratio": spec.imbalance_ratio,
-    }
+    return {**asdict(spec), "kinds": [k.value for k in spec.kinds]}
 
 
 def _dataset_entry(path: str, ds: LabeledDataset) -> dict:
@@ -339,6 +378,13 @@ def _dataset_entry(path: str, ds: LabeledDataset) -> dict:
     }
 
 
+def dataset_paths(spec: ExperimentSpec, base_dir: str = ".") -> dict[str, str]:
+    """The dataset files a spec reads, by field: train_source, and
+    test_source for a held-out spec. A relative path is taken from base_dir."""
+    fields = ("train_source",) if spec.cv_k is not None else ("train_source", "test_source")
+    return {field: os.path.join(base_dir, getattr(spec, field)) for field in fields}
+
+
 def run_experiment(
     spec: ExperimentSpec,
     base_dir: str = ".",
@@ -349,11 +395,8 @@ def run_experiment(
     Everything but the timestamp is deterministic given the experiment
     spec argument and the dataset files it names.
     """
-
-    def resolve(p: str) -> str:
-        return p if os.path.isabs(p) else os.path.join(base_dir, p)
-
-    train_ds = load_dataset(resolve(spec.train_source))
+    paths = dataset_paths(spec, base_dir)
+    train_ds = load_dataset(paths["train_source"])
     report: dict = {
         "version": REPORT_SCHEMA_VERSION,
         "name": spec.name,
@@ -375,7 +418,7 @@ def run_experiment(
             }
         return report
 
-    test_ds = load_dataset(resolve(spec.test_source))
+    test_ds = load_dataset(paths["test_source"])
     if spec.imbalance_ratio is not None:
         test_ds = imbalanced_subset(
             test_ds, spec.imbalance_ratio,
@@ -402,8 +445,6 @@ def save_report(report: dict, path: str) -> None:
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
-
-_COLUMNS = ("accuracy", "precision", "recall", "f1", "kappa")
 
 
 def _headline_metrics(report: dict, kind: str) -> dict:

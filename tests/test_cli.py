@@ -436,7 +436,8 @@ class TestManifestInputs:
     """A manifest names and hashes exactly the files its command reads: a
     prepared dataset stands in for pos, neg and stopwords, the stop-word file
     appears only where the command tokenizes, and the config only for
-    experiment, which reads its specs from it."""
+    experiment, which reads its specs from it and then their datasets (a
+    relative path taken from the config's directory)."""
 
     @pytest.fixture()
     def files(self, corpora, tmp_path):
@@ -449,10 +450,15 @@ class TestManifestInputs:
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"experiments": [
             {"name": "x", "train_source": str(model_dir / "dataset.jsonl"),
-             "test_source": "cv:2"}]}), encoding="utf-8")
+             "test_source": "cv:2"},
+            {"name": "y", "train_source": str(model_dir / "dataset.jsonl"),
+             "test_source": "model/dataset.jsonl", "kinds": ["nb"]}]}), encoding="utf-8")
         return {"input": pos, "pos": pos, "neg": neg, "hate": pos, "contrast": neg,
                 "model": model_dir / "model.json", "vectorizer": model_dir / "vectorizer.json",
-                "dataset": model_dir / "dataset.jsonl", "stopwords": stop, "config": config}
+                "dataset": model_dir / "dataset.jsonl", "stopwords": stop, "config": config,
+                "x.train_source": model_dir / "dataset.jsonl",
+                "y.train_source": model_dir / "dataset.jsonl",
+                "y.test_source": model_dir / "dataset.jsonl"}
 
     @pytest.mark.parametrize("argv,inputs", [
         ("synth --n 10", ""),
@@ -469,7 +475,7 @@ class TestManifestInputs:
          "--stopwords {stopwords}", "model vectorizer pos neg stopwords"),
         ("evaluate --model {model} --vectorizer {vectorizer} --dataset {dataset} "
          "--pos {pos} --neg {neg} --stopwords {stopwords}", "model vectorizer dataset"),
-        ("experiment", "config"),
+        ("experiment", "config x.train_source y.train_source y.test_source"),
     ], ids=["synth", "ingest", "preprocess", "topics", "keywords", "train-pair",
             "train-dataset", "evaluate-pair", "evaluate-dataset", "experiment"])
     def test_manifest_inputs_are_the_files_read(self, files, tmp_path, capsys, argv, inputs):
@@ -826,6 +832,26 @@ class TestExperimentCommand:
         message = message.format(tmp=tmp_path)
         assert capsys.readouterr().err == f"commhate: error: {config}: {message}\n"
         assert not (tmp_path / "reports").exists()
+
+    @pytest.mark.parametrize("field", ["train_source", "test_source"])
+    def test_every_dataset_is_checked_before_any_spec_runs(self, tmp_path, capsys,
+                                                          monkeypatch, field):
+        config = self._setup(tmp_path)
+        obj = json.loads(config.read_text(encoding="utf-8"))
+        obj["experiments"].append({"name": "broken", "train_source": "synth/dataset.jsonl",
+                                   "test_source": "synth/dataset.jsonl", field: "absent.jsonl"})
+        config.write_text(json.dumps(obj), encoding="utf-8")
+        ran = []
+        real = evaluation.run_experiment
+        monkeypatch.setattr(evaluation, "run_experiment",
+                            lambda spec, **kw: ran.append(spec.name) or real(spec, **kw))
+        code = _run(["experiment", "--config", str(config),
+                     "--output-dir", str(tmp_path / "reports")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"commhate: data error: experiment 'broken': [Errno 2] No such file or "
+            f"directory: '{tmp_path / 'absent.jsonl'}'\n")
+        assert ran == []
 
     def test_missing_dataset_file_exits_two(self, tmp_path, capsys):
         config = tmp_path / "run.json"

@@ -2,8 +2,10 @@ import csv
 import io
 import json
 import math
+import os
 import random
 import re
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -210,6 +212,143 @@ class TestCrossValidate:
         a = cross_validate(ds, 2, [Algorithm.SVM], seed=7)[Algorithm.SVM]
         b = cross_validate(ds, 2, [Algorithm.SVM], seed=7)[Algorithm.SVM]
         assert a == b
+
+
+def _noisy_dataset(n_per_side=30, seed=0):
+    """Two sides that share most of their vocabulary, so folds differ."""
+    rng = random.Random(seed)
+    docs, labels, prov = [], [], []
+    for label, own in ((POSITIVE, "hat"), (NEGATIVE, "sup")):
+        for i in range(n_per_side):
+            docs.append(tuple(rng.choice([own, "both", "also", "more", f"{own}x"])
+                              for _ in range(rng.randint(2, 6))))
+            labels.append(label)
+            prov.append((f"{own}{i}", own))
+    return LabeledDataset(tuple(docs), tuple(labels), tuple(prov))
+
+
+def _pid_unless(bad, i):
+    """The worker's pid, or a ValueError naming ``i`` when ``i`` is in ``bad``."""
+    if i in bad:
+        raise ValueError(f"task {i} failed in process {os.getpid()}")
+    return os.getpid()
+
+
+class TestForkMap:
+    """cross_validate's tasks run in one process per CPU the process may run
+    on; a CPU set stands in for ``taskset`` here."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def _cpus(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    def test_results_do_not_depend_on_the_cpu_count(self, monkeypatch):
+        ds = _noisy_dataset()
+        runs = []
+        for n in (1, 3):
+            self._cpus(monkeypatch, n)
+            runs.append(cross_validate(ds, 4, list(Algorithm), seed=5))
+        assert runs[0] == runs[1]
+        assert len({m.accuracy for r in runs[0].values() for m in r.per_fold}) > 1
+
+    @pytest.mark.parametrize("cpus,n_items,workers", [(1, 7, 1), (3, 7, 3), (3, 2, 2)])
+    def test_items_are_dealt_round_robin(self, monkeypatch, cpus, n_items, workers):
+        self._cpus(monkeypatch, cpus)
+        pids = evaluation._fork_map(lambda i: _pid_unless((), i), list(range(n_items)))
+        assert len(set(pids)) == workers
+        assert pids == [pids[i % workers] for i in range(n_items)]
+        assert pids[0] == os.getpid()
+
+    def test_without_affinity_uses_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        pids = evaluation._fork_map(lambda i: _pid_unless((), i), [0, 1, 2])
+        assert pids[0] == pids[2] == os.getpid() != pids[1]
+
+    def test_without_fork_runs_in_process(self, monkeypatch):
+        self._cpus(monkeypatch, 3)
+        monkeypatch.delattr(os, "fork")
+        pids = evaluation._fork_map(lambda i: _pid_unless((), i), [0, 1, 2])
+        assert pids == [os.getpid()] * 3
+
+    @pytest.mark.parametrize("bad,first,in_child", [
+        ({4, 5}, 4, True), ({5, 3}, 3, False), ({1, 6}, 1, True)])
+    def test_first_failure_in_item_order_is_raised(self, monkeypatch, bad, first, in_child):
+        # With 3 workers, items 0, 3 and 6 run here, the rest in two children.
+        self._cpus(monkeypatch, 3)
+        with pytest.raises(ValueError, match=f"^task {first} failed in process ") as err:
+            evaluation._fork_map(lambda i: _pid_unless(bad, i), list(range(7)))
+        assert (str(err.value).split()[-1] != str(os.getpid())) == in_child
+
+    def test_child_failure_in_cross_validate_keeps_its_message(self, monkeypatch):
+        self._cpus(monkeypatch, 2)
+        parent = os.getpid()
+
+        def score(**kwargs):
+            if os.getpid() != parent:
+                raise ValueError(f"{kwargs['kind'].value} training diverged: non-finite "
+                                 "parameters")
+            return real(**kwargs)
+        real = evaluation.train_and_eval
+        monkeypatch.setattr(evaluation, "train_and_eval", score)
+        with pytest.raises(ValueError, match="^lr training diverged: non-finite parameters$"):
+            cross_validate(_toy_dataset(8), 2, [Algorithm.LR, Algorithm.SVM])
+
+    def test_child_that_dies_is_one_line_error(self, monkeypatch):
+        self._cpus(monkeypatch, 2)
+        parent = os.getpid()
+        with pytest.raises(OSError) as err:
+            evaluation._fork_map(lambda i: os._exit(3) if os.getpid() != parent else i,
+                                 [0, 1, 2])
+        assert str(err.value) == "worker process exited with status 3 before sending its results"
+
+    def test_children_are_reaped_when_this_process_is_interrupted(self, monkeypatch):
+        class Interrupt(BaseException):
+            pass
+
+        def fn(i):
+            if os.getpid() == parent:
+                raise Interrupt
+            return i
+        self._cpus(monkeypatch, 3)
+        parent = os.getpid()
+        with pytest.raises(Interrupt):
+            evaluation._fork_map(fn, list(range(6)))
+
+    def test_child_that_dies_makes_the_cli_exit_two(self, monkeypatch, tmp_path, capsys):
+        from commhate import cli
+        write_dataset(_toy_dataset(8), str(tmp_path / "train.jsonl"))
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"experiments": [
+            {"name": "cv", "train_source": "train.jsonl", "test_source": "cv:2"}]}))
+        self._cpus(monkeypatch, 2)
+        parent = os.getpid()
+        real = evaluation.train_and_eval
+        monkeypatch.setattr(evaluation, "train_and_eval", lambda **kw: os._exit(3)
+                            if os.getpid() != parent else real(**kw))
+        out_dir = tmp_path / "reports"
+        assert cli.main(["experiment", "--config", str(config),
+                         "--output-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == (
+            "commhate: data error: experiment 'cv': worker process exited with status 3 "
+            "before sending its results\n")
+        assert not out_dir.exists()
+
+    def test_cross_validate_warns_nothing(self, monkeypatch):
+        # Python 3.12+ warns when a process with threads forks. Under
+        # simplefilter("error") os.fork drops that warning instead of
+        # raising it, so every warning is recorded and none may be.
+        self._cpus(monkeypatch, 2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cross_validate(_toy_dataset(8), 2, list(Algorithm))
+        assert [str(w.message) for w in caught] == []
 
 
 class TestExperimentSpec:
