@@ -56,10 +56,12 @@ def write_text(path: str, text: str) -> None:
 
 def write_json(path: str, obj, indent: int | None = None) -> None:
     """One JSON document, keys sorted, non-ASCII kept, newline-terminated.
-    NaN and infinities are not JSON and raise ValueError."""
+    NaN and infinities are not JSON and raise ValueError. ``json.dumps``, not
+    ``json.dump``: only ``dumps`` uses the C encoder (when ``indent`` is None);
+    both give the same text."""
     with writing(path) as fh:
-        json.dump(obj, fh, ensure_ascii=False, allow_nan=False, sort_keys=True,
-                  indent=indent)
+        fh.write(json.dumps(obj, ensure_ascii=False, allow_nan=False, sort_keys=True,
+                            indent=indent))
         fh.write("\n")
 
 

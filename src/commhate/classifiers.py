@@ -13,6 +13,9 @@ which makes the accumulated shrink factor telescope to 1 / (1 + eta0*lambda*T)
 after T updates; the scale can never collapse to zero in finite time.
 Each step's dot product is summed left to right in Python floats, never by a
 BLAS kernel, so the weights do not depend on which kernel the CPU selects.
+Each epoch visits the rows in a fresh order that reproduces
+``random.Random.shuffle`` draw for draw, so a seed gives the weights that
+method would.
 
 Labels are the dataset's "positive"/"negative" strings; scores are signed,
 and a score of exactly zero predicts negative.
@@ -24,7 +27,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -155,6 +158,19 @@ def _stable_sigmoid_neg(m: float) -> float:
     return 1.0 / (1.0 + math.exp(m))
 
 
+def _shuffle(order: list, getrandbits: Callable[[int], int]) -> None:
+    """Shuffle ``order`` in place with ``random.Random.shuffle``'s exact draws
+    and swaps, ``getrandbits`` being that generator's bound method. Inlining
+    its ``_randbelow`` saves one Python call per draw."""
+    for i in range(len(order) - 1, 0, -1):
+        m = i + 1
+        k = m.bit_length()
+        j = getrandbits(k)
+        while j >= m:
+            j = getrandbits(k)
+        order[i], order[j] = order[j], order[i]
+
+
 def train_linear(vectors: CsrBatch, labels: Sequence[str], config: TrainConfig) -> LinearModel:
     """SGD for logistic or hinge loss with lazily scaled L2 shrinkage.
 
@@ -168,13 +184,21 @@ def train_linear(vectors: CsrBatch, labels: Sequence[str], config: TrainConfig) 
     y = _signs(labels)
     if len(vectors) != len(y):
         raise ValueError("vectors and labels must have equal length")
-    # Plain Python lists: per step, numpy call overhead on a ~15-term row
+    # Each row is one flat list [j0, v0, j1, v1, ...] of Python objects,
+    # walked by one iterator and next(): a step builds no iterator pair, and a
+    # row costs one list header where separate index and value lists cost two.
+    # Python objects because, per step, numpy call overhead on a ~15-term row
     # costs more than the arithmetic. Rows share one int object per
-    # coordinate, so the lists add little to peak memory.
+    # coordinate; ``values * 2`` allocates each row at its final length.
     bounds, indices, data = vectors.indptr.tolist(), vectors.indices, vectors.data
     coords = list(range(vectors.dim))
-    rows = [([coords[j] for j in indices[lo:hi].tolist()], data[lo:hi].tolist())
-            for lo, hi in zip(bounds, bounds[1:])]
+    rows = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        values = data[lo:hi].tolist()
+        row = values * 2
+        row[::2] = [coords[j] for j in indices[lo:hi].tolist()]
+        row[1::2] = values
+        rows.append(row)
     y = y.tolist()
 
     def diverged(epoch: int) -> ValueError:
@@ -190,14 +214,15 @@ def train_linear(vectors: CsrBatch, labels: Sequence[str], config: TrainConfig) 
     order = list(range(len(y)))
     rng = random.Random(derive_seed(config.seed, "sgd", config.algorithm.value))
     for epoch in range(config.epochs):
-        rng.shuffle(order)
+        _shuffle(order, rng.getrandbits)
         for i in order:
             t += 1
             eta = eta0 / (1.0 + eta0 * lam * t)
-            ri, rv = rows[i]
+            row = rows[i]
             dot = 0.0
-            for j, v in zip(ri, rv):
-                dot += direction[j] * v
+            it = iter(row)
+            for j in it:
+                dot += direction[j] * next(it)
             z = bias + scale * dot
             sign = y[i]
             if hinge:
@@ -206,14 +231,15 @@ def train_linear(vectors: CsrBatch, labels: Sequence[str], config: TrainConfig) 
                 step = sign * _stable_sigmoid_neg(sign * z)
             scale *= 1.0 - eta * lam
             if step != 0.0:
-                if ri:
+                if row:
                     if scale == 0.0:
                         # Dividing by the underflowed scale makes the row's
                         # coordinates non-finite, which the epoch check reports.
                         raise diverged(epoch)
                     c = eta * step / scale
-                    for j, v in zip(ri, rv):
-                        direction[j] += c * v
+                    it = iter(row)
+                    for j in it:
+                        direction[j] += c * next(it)
                 bias += eta * step
         if not (math.isfinite(scale) and math.isfinite(bias)
                 and all(map(math.isfinite, direction))):

@@ -2,6 +2,7 @@
 no file) and no temp file; a new file gets the mode open(path, "w") gives."""
 
 import gzip
+import io
 import json
 import os
 import time
@@ -30,22 +31,20 @@ class TestFailedWrite:
         keywords.save_keyword_set(ks, str(path))
         before = path.read_bytes()
 
-        def half_then_fail(obj, fh, **kwargs):
-            fh.write('{"method": ')
+        def fail(obj, **kwargs):
             raise RuntimeError("disk went away")
 
-        monkeypatch.setattr(json, "dump", half_then_fail)
+        monkeypatch.setattr(json, "dumps", fail)  # raised with the temp file open
         with pytest.raises(RuntimeError, match="disk went away"):
             keywords.save_keyword_set(ks, str(path))
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["keywords.json"]
 
     def test_json_body_raising_leaves_no_new_file(self, tmp_path, monkeypatch):
-        def fail(obj, fh, **kwargs):
-            fh.write("{")
+        def fail(obj, **kwargs):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(json, "dump", fail)
+        monkeypatch.setattr(json, "dumps", fail)
         with pytest.raises(RuntimeError):
             atomic.write_json(str(tmp_path / "new.json"), {"a": 1})
         assert os.listdir(tmp_path) == []
@@ -77,6 +76,20 @@ class TestFailedWrite:
             _ingest(src, out_dir, "--output", "kept.jsonl.gz")
         assert {name: (out_dir / name).read_bytes() for name in os.listdir(out_dir)} == before
         assert sorted(before) == ["kept.jsonl.gz", "manifest.json"]
+
+
+@pytest.mark.parametrize("indent", [None, 2])
+def test_write_json_bytes_equal_the_json_dump_stream(tmp_path, indent):
+    # write_json encodes with json.dumps (the C encoder when indent is None);
+    # its file must hold exactly what json.dump's pure-Python encoder streams.
+    obj = {"weights": [5e-324, -0.0, 1e16, 0.1, -1.5e-7, 3], "bias": -0.0,
+           "terms": {"grüße": 1, "münchen": [2, "ünï"], "😀": None, "a": True}}
+    expected = io.StringIO()
+    json.dump(obj, expected, ensure_ascii=False, allow_nan=False, sort_keys=True,
+              indent=indent)
+    path = tmp_path / "out.json"
+    atomic.write_json(str(path), obj, indent=indent)
+    assert path.read_bytes() == (expected.getvalue() + "\n").encode("utf-8")
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])

@@ -248,17 +248,37 @@ def _sgd_reference(batch, labels, cfg):
     return [scale * d for d in direction], bias
 
 
+class TestShuffle:
+    @pytest.mark.parametrize("seed", [0, 1, 5, 2024, 2**70 + 1])
+    def test_draws_and_swaps_equal_random_shuffle(self, seed):
+        # The inlined draw must leave the list and the generator exactly as
+        # random.Random.shuffle does, across many widths of its draws.
+        ours, ref = random.Random(seed), random.Random(seed)
+        for n in range(301):
+            a, b = list(range(n)), list(range(n))
+            classifiers._shuffle(a, ours.getrandbits)
+            ref.shuffle(b)
+            assert a == b, n
+            assert ours.getstate() == ref.getstate(), n
+
+
 class TestSgdOracle:
     @pytest.mark.parametrize("algorithm", ["lr", "svm"])
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_weights_equal_scalar_reference(self, algorithm, seed):
+    @pytest.mark.parametrize("seed,n_rows", [
+        *(pytest.param(seed, 81, id=str(seed)) for seed in range(4)),
+        # 2 and 65 rows: the shuffle's draw bound m crosses a power of two.
+        *(pytest.param(seed, n, id=f"rows{n}-{seed}") for n in (2, 65) for seed in range(4)),
+    ])
+    def test_weights_equal_scalar_reference(self, algorithm, seed, n_rows):
         rng = random.Random(seed)
         vocab = [f"t{k}" for k in range(120)]
         docs = [rng.sample(vocab, rng.randint(1, 30)) for _ in range(80)]
         labels = [POSITIVE if rng.random() < 0.5 else NEGATIVE for _ in docs]
         vec = fit_tfidf(docs, min_df=2)
+        docs, labels = docs[:n_rows - 1], labels[:n_rows - 1]
         docs.append(["never", "seen"])  # all out of vocabulary: an empty row
-        labels.append(POSITIVE)
+        # The empty row takes the class the other rows lack, if one is missing.
+        labels.append(NEGATIVE if set(labels) == {POSITIVE} else POSITIVE)
         batch = vec.transform_all(docs)
         assert batch.indptr[-1] == batch.indptr[-2]
         cfg = TrainConfig(algorithm=algorithm, epochs=5, learning_rate=0.3,

@@ -2,11 +2,12 @@
 
 Each entry is the sha256 of an artifact's bytes. JSON experiment reports
 have their ``timestamp`` line removed first, the one field C10 allows to
-vary. Pinned are the artifacts made of tokens, counts, terms and metrics;
-``model.json`` and ``vectorizer.json`` are not, because idf goes through
-``np.log``, whose SIMD kernel can differ between CPUs (the weights are tied
-to ``TestSgdOracle`` instead). A change that moves a digest updates it in
-the same change and says which output moved and why.
+vary. Pinned are the artifacts made of tokens, counts, terms and metrics,
+``vectorizer.json`` among them: it holds only terms and integer counts.
+``model.json`` is not, because its weights go through ``np.log`` (idf, and
+NB's likelihoods), whose SIMD kernel can differ between CPUs (the SGD weights
+are tied to ``TestSgdOracle`` instead). A change that moves a digest updates
+it in the same change and says which output moved and why.
 """
 
 import hashlib
@@ -40,6 +41,7 @@ GOLDEN = {
     "kw_llda/keywords.txt": "873d1e1b9542197f55b733b011223267f85f10c8dbdefde1ea1d906f13275deb",
     "kw_chi2_ii/keywords.json": "b045c52ee54d0cb1b136faff3b2a6b25b1397388f5183164d6fa9eb098e1f6d8",
     "kw_chi2_ii/keywords.txt": "5bfb52b7fd3af09f807c4fb227a0aa0a1d9564a4c0c26916db423332f96640ba",
+    "model_lr/vectorizer.json": "15f56adb499a9a5c879c6e0bf326fb558aafc0e5516fc6f0bdd29171e564401f",
     "eval_nb/evaluation.json": "b59769b6c2e73fe5aab5c11f896c1f281bc724e6417bdbc6166d6ebc17fecbff",
     "eval_lr/evaluation.json": "26e891e17dec852a80a63cd248bcea6ea0b63ae7a9a585aa449fd6c7907fda6c",
     "eval_svm/evaluation.json": "d201890f193dce1b9a099e36611adc349f86656efe5c0f9483bf2c8c1abca18f",
