@@ -315,11 +315,10 @@ def cmd_train(args) -> tuple[dict, list[str]]:
     ds, dropped = _assemble_dataset(args, derive_seed(args.seed, "train", "dataset"))
     train_cfg = dataclasses.replace(args.train_config, algorithm=args.algorithm,
                                     seed=derive_seed(args.seed, "train", "fit"))
-    vec = vectorizer.fit_tfidf(ds.documents, min_df=args.min_df)
-    model = classifiers.train(
-        evaluation.vectors_for(train_cfg.algorithm, vec, ds.documents),
-        ds.labels, train_cfg,
-    )
+    counts = vectorizer.count_terms(ds.documents)
+    vec = vectorizer.fit_tfidf(counts, min_df=args.min_df)
+    model = classifiers.train(evaluation.vectors_for(train_cfg.algorithm, vec, counts),
+                              ds.labels, train_cfg)
     out_dir = _out_dir(args)
     artifacts = []
     if dropped is not None:

@@ -35,7 +35,8 @@ from .corpus import (
     load_dataset,
 )
 from .seeding import derive_seed
-from .vectorizer import DEFAULT_MIN_DF, CsrBatch, TfidfModel, fit_tfidf, model_fingerprint
+from .vectorizer import (DEFAULT_MIN_DF, CsrBatch, Documents, TermCounts, TfidfModel,
+                         count_terms, fit_tfidf, model_fingerprint)
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -174,15 +175,18 @@ def vectors_for(kind: Algorithm, model: TfidfModel, documents) -> CsrBatch:
 
 def train_and_eval(train_ds: LabeledDataset, test_ds: LabeledDataset, kind: Algorithm,
                    seed: int, min_df: int = DEFAULT_MIN_DF,
-                   vec: TfidfModel | None = None) -> tuple[EvalMetrics, str]:
-    """Fit the vectorizer on the training split only (unless ``vec`` is that
-    fit already), train one classifier, and score the test split. Returns
-    (metrics, vectorizer fingerprint)."""
-    if vec is None:
-        vec = fit_tfidf(train_ds.documents, min_df=min_df)
+                   fitted: tuple[TfidfModel, TermCounts, Documents] | None = None,
+                   ) -> tuple[EvalMetrics, str]:
+    """Fit the vectorizer on the training split only, train one classifier,
+    and score the test split. ``fitted`` is that fit already, with the
+    counted train and test rows. Returns (metrics, vectorizer fingerprint)."""
+    if fitted is None:
+        rows = count_terms(train_ds.documents)
+        fitted = fit_tfidf(rows, min_df=min_df), rows, test_ds.documents
+    vec, train_rows, test_rows = fitted
     cfg = TrainConfig(algorithm=kind, seed=seed)
-    model = train(vectors_for(kind, vec, train_ds.documents), train_ds.labels, cfg)
-    predicted = model.predict_all(vectors_for(kind, vec, test_ds.documents))
+    model = train(vectors_for(kind, vec, train_rows), train_ds.labels, cfg)
+    predicted = model.predict_all(vectors_for(kind, vec, test_rows))
     return compute_metrics(predicted, test_ds.labels), model_fingerprint(vec)
 
 
@@ -264,23 +268,28 @@ class CvResult:
 def cross_validate(dataset: LabeledDataset, k: int, kinds: Sequence[Algorithm], seed: int = 0,
                    min_df: int = DEFAULT_MIN_DF) -> dict[Algorithm, CvResult]:
     """Stratified k-fold CV with a fresh vectorizer per fold (train side
-    only, so folds cannot leak vocabulary into each other). This process
-    fits every (kind, fold) vectorizer; _fork_map runs the rest of each task
-    on the CPUs this process may use, with the same results on any number."""
+    only, so folds cannot leak vocabulary into each other). This process counts
+    the dataset once and fits every (kind, fold) vectorizer; _fork_map runs the
+    rest of each task on the CPUs this process may use, with equal results."""
     kinds = sorted(dict.fromkeys(Algorithm(x) for x in kinds), key=lambda a: a.value)
     if not kinds:
         raise ValueError("at least one classifier kind required")
     splits = kfold_split(dataset, k, derive_seed(seed, "cv", "folds"))
+    counts = count_terms(dataset.documents)
 
     def prepare(task):
         kind, fold_index = task
-        train_ds = dataset.subset(splits[fold_index][0])
-        return dict(train_ds=train_ds, test_ds=dataset.subset(splits[fold_index][1]), kind=kind,
-                    seed=derive_seed(seed, "cv", kind.value, fold_index),
-                    vec=fit_tfidf(train_ds.documents, min_df=min_df))
+        return kind, fold_index, fit_tfidf(counts.rows(splits[fold_index][0]), min_df=min_df)
+
+    def run(prepared):
+        kind, fold_index, vec = prepared
+        train_idx, test_idx = splits[fold_index]
+        return train_and_eval(train_ds=dataset.subset(train_idx), test_ds=dataset.subset(test_idx),
+                              kind=kind, seed=derive_seed(seed, "cv", kind.value, fold_index),
+                              fitted=(vec, counts.rows(train_idx), counts.rows(test_idx)))
 
     tasks = [(kind, fold_index) for kind in kinds for fold_index in range(len(splits))]
-    outcomes = iter(_fork_map(lambda kwargs: train_and_eval(**kwargs), tasks, prepare))
+    outcomes = iter(_fork_map(run, tasks, prepare))
     results = {}
     for kind in kinds:
         per_fold, fingerprints = zip(*(next(outcomes) for _ in splits))

@@ -21,7 +21,10 @@ import random
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Sequence
+
+import numpy as np
 
 from . import atomic
 from .corpus import (
@@ -32,6 +35,7 @@ from .corpus import (
     sample_without_replacement,
 )
 from .topics import LldaConfig, fit_two_sides, term_scores, top_terms
+from .vectorizer import count_terms
 
 KEYWORD_SCHEMA_VERSION = 1
 DEFAULT_K = 30
@@ -88,18 +92,12 @@ def chi2_scores(
         raise ValueError("both corpora must be non-empty")
     n_pos, n_neg = len(positive_docs), len(negative_docs)
     n = n_pos + n_neg
-    present_pos: dict[str, int] = {}
-    present_neg: dict[str, int] = {}
-    for doc in positive_docs:
-        for t in set(doc):
-            present_pos[t] = present_pos.get(t, 0) + 1
-    for doc in negative_docs:
-        for t in set(doc):
-            present_neg[t] = present_neg.get(t, 0) + 1
+    counts = count_terms(chain(positive_docs, negative_docs))
+    present = [np.bincount(side, minlength=len(counts.terms)).tolist()
+               for side in np.split(counts.batch.indices, [counts.batch.indptr[n_pos]])]
     scores: dict[str, float] = {}
-    for term in set(present_pos) | set(present_neg):
-        a = present_pos.get(term, 0)
-        b = present_neg.get(term, 0)
+    # Python ints: in int64, n * (ad - bc)^2 overflows at ~10^4 documents.
+    for term, a, b in zip(counts.terms, *present):
         if a + b < min_df:
             continue
         c = n_pos - a

@@ -22,6 +22,7 @@ import numpy as np
 
 from .corpus import balanced_pair
 from .seeding import derive_seed
+from .vectorizer import count_terms
 
 
 @dataclass(frozen=True)
@@ -92,20 +93,15 @@ def fit_llda(
     labels = tuple(sorted(set(doc_labels)))
     if len(labels) < 2:
         raise ValueError(f"need at least 2 distinct labels, got {list(labels)}")
-    vocab = tuple(sorted({t for doc in documents for t in doc}))
+    counted = count_terms(documents)
+    vocab, batch = counted.terms, counted.batch
     if not vocab:
         raise ValueError("empty vocabulary: no document contains any token")
-    term_index = {t: i for i, t in enumerate(vocab)}
     label_index = {l: i for i, l in enumerate(labels)}
     n_labels, n_terms = len(labels), len(vocab)
-
-    cells = [
-        label_index[label] * n_terms + term_index[t]
-        for doc, label in zip(documents, doc_labels)
-        for t in doc
-    ]
-    counts = np.bincount(cells, minlength=n_labels * n_terms).reshape(n_labels, n_terms)
-    counts = counts.astype(float)
+    doc_label = np.array([label_index[label] for label in doc_labels], dtype=np.intp)
+    counts = np.bincount(doc_label[batch.row_ids()] * n_terms + batch.indices, weights=batch.data,
+                         minlength=n_labels * n_terms).reshape(n_labels, n_terms)
     denom = counts.sum(axis=1, keepdims=True) + config.beta * n_terms
     phi = (counts + config.beta) / denom
     phi = phi / phi.sum(axis=1, keepdims=True)  # absorb rounding in the tail

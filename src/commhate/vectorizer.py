@@ -1,5 +1,9 @@
 """Sparse bag-of-words batches and a from-scratch tf-idf model.
 
+Tokens become term ids in one place, count_terms, which counts a document
+set once into a TermCounts batch over the set's sorted terms. Fitting and both
+transforms work from such a batch with numpy; given tokens, they count first.
+
 Weighting is raw term count times a smoothed inverse document frequency,
 
     idf(t) = ln((1 + n_docs) / (1 + df(t))) + 1
@@ -14,7 +18,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import chain, repeat
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -66,6 +71,42 @@ class CsrBatch:
         return np.repeat(np.arange(len(self)), np.diff(self.indptr))
 
 
+@dataclass(frozen=True, eq=False)
+class TermCounts:
+    """Raw term counts of a document set: row r of ``batch`` counts document
+    r over ``terms``, the set's distinct terms sorted by code point."""
+
+    terms: tuple[str, ...]
+    batch: CsrBatch
+
+    def rows(self, indices: Sequence[int]) -> "TermCounts":
+        """The given rows, in the given order, over the same terms."""
+        idx = np.asarray(indices, dtype=np.intp)
+        lengths = np.diff(self.batch.indptr)[idx]
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        take = np.repeat(self.batch.indptr[idx] - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return TermCounts(self.terms, CsrBatch(indptr, self.batch.indices[take],
+                                               self.batch.data[take], self.batch.dim))
+
+
+def count_terms(documents: Iterable[Sequence[str]]) -> TermCounts:
+    """Count each document's terms, reading the input once."""
+    docs = list(documents)
+    terms = sorted(set(chain.from_iterable(docs)))
+    ids = dict(zip(terms, range(len(terms))))
+    # One key per token, row * len(terms) + term id; unique keys come out
+    # sorted, so each row's terms are increasing.
+    keys = np.repeat(np.arange(len(docs)) * len(terms), [len(doc) for doc in docs])
+    keys += np.fromiter(map(ids.__getitem__, chain.from_iterable(docs)), dtype=np.intp)
+    keys, counts = np.unique(keys, return_counts=True)
+    row_of, indices = np.divmod(keys, max(len(terms), 1))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(row_of, minlength=len(docs)))))
+    return TermCounts(tuple(terms), CsrBatch(indptr, indices, counts.astype(float), len(terms)))
+
+
+Documents = Union[TermCounts, Iterable[Sequence[str]]]  # counted or token documents
+
+
 @dataclass(frozen=True)
 class TfidfModel:
     """Fitted vocabulary with document frequencies. Fit once on training
@@ -79,8 +120,8 @@ class TfidfModel:
     def __post_init__(self):
         if len(self.vocabulary) != len(self.doc_freq):
             raise ValueError("vocabulary and doc_freq must have equal length")
-        if list(self.vocabulary) != sorted(self.vocabulary):
-            raise ValueError("vocabulary must be sorted")
+        if any(a >= b for a, b in zip(self.vocabulary, self.vocabulary[1:])):
+            raise ValueError("vocabulary must be sorted and free of duplicates")
 
     @property
     def dim(self) -> int:
@@ -90,31 +131,24 @@ class TfidfModel:
         df = np.asarray(self.doc_freq, dtype=float)
         return np.log((1.0 + self.n_docs) / (1.0 + df)) + 1.0
 
-    def transform_counts_all(self, documents: Iterable[Sequence[str]]) -> CsrBatch:
+    def transform_counts_all(self, documents: Documents) -> CsrBatch:
         """Raw term counts over the fitted vocabulary (no idf, no norm), one
         row per document. Out-of-vocabulary terms are ignored."""
         return self._counts(documents)
 
-    def _counts(self, documents: Iterable[Sequence[str]]) -> CsrBatch:
+    def _counts(self, documents: Documents) -> CsrBatch:
         # Both transforms call this rather than each other, so a wrapper on
         # either public method sees each batch exactly once.
-        lookup = {term: i for i, term in enumerate(self.vocabulary)}
-        ids: list[int] = []
-        lengths: list[int] = []
-        for doc in documents:
-            known = [lookup[t] for t in doc if t in lookup]
-            ids.extend(known)
-            lengths.append(len(known))
-        rows = np.repeat(np.arange(len(lengths)), lengths)
-        # One sorted key per (row, term) pair orders terms within each row.
-        keys, counts = np.unique(rows * self.dim + np.asarray(ids, dtype=np.intp),
-                                 return_counts=True)
-        row_of, indices = np.divmod(keys, max(self.dim, 1))
-        indptr = np.zeros(len(lengths) + 1, dtype=np.intp)
-        np.cumsum(np.bincount(row_of, minlength=len(lengths)), out=indptr[1:])
-        return CsrBatch(indptr, indices, counts.astype(float), self.dim)
+        counts = documents if isinstance(documents, TermCounts) else count_terms(documents)
+        lookup = dict(zip(self.vocabulary, range(self.dim)))
+        # Both term lists are sorted, so kept columns stay increasing in a row.
+        column = np.fromiter(map(lookup.get, counts.terms, repeat(-1)), dtype=np.intp,
+                             count=len(counts.terms))[counts.batch.indices]
+        kept = column >= 0
+        indptr = np.concatenate(([0], np.cumsum(kept)))[counts.batch.indptr]
+        return CsrBatch(indptr, column[kept], counts.batch.data[kept], self.dim)
 
-    def transform_all(self, documents: Iterable[Sequence[str]]) -> CsrBatch:
+    def transform_all(self, documents: Documents) -> CsrBatch:
         """L2-normalized tf-idf rows. Documents whose terms are all out of
         vocabulary map to the zero vector (an empty row) rather than raising."""
         counts = self._counts(documents)
@@ -125,29 +159,21 @@ class TfidfModel:
         return CsrBatch(counts.indptr, counts.indices, weights / norms[rows], self.dim)
 
 
-def fit_tfidf(documents: Iterable[Sequence[str]], min_df: int = DEFAULT_MIN_DF) -> TfidfModel:
-    """Fit a tf-idf model on tokenized documents.
+def fit_tfidf(documents: Documents, min_df: int = DEFAULT_MIN_DF) -> TfidfModel:
+    """Fit a tf-idf model on counted or tokenized documents.
 
     df counts document presence, not term occurrences. Terms with
     df < min_df are dropped from the vocabulary entirely.
     """
     if min_df < 1:
         raise ValueError("min_df must be >= 1")
-    df: dict[str, int] = {}
-    n_docs = 0
-    for doc in documents:
-        n_docs += 1
-        for term in set(doc):
-            df[term] = df.get(term, 0) + 1
-    if n_docs == 0:
+    counts = documents if isinstance(documents, TermCounts) else count_terms(documents)
+    if len(counts.batch) == 0:
         raise ValueError("cannot fit on an empty document collection")
-    vocab = sorted(t for t, d in df.items() if d >= min_df)
-    return TfidfModel(
-        vocabulary=tuple(vocab),
-        doc_freq=tuple(df[t] for t in vocab),
-        n_docs=n_docs,
-        min_df=min_df,
-    )
+    df = np.bincount(counts.batch.indices, minlength=len(counts.terms))
+    keep = np.flatnonzero(df >= min_df)
+    return TfidfModel(vocabulary=tuple(counts.terms[i] for i in keep.tolist()),
+                      doc_freq=tuple(df[keep].tolist()), n_docs=len(counts.batch), min_df=min_df)
 
 
 # ---------------------------------------------------------------------------

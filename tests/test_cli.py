@@ -704,8 +704,10 @@ class TestSynthTrainEvaluate:
         ({**_VECTORIZER, "terms": [{"df": 1}]}, "vectorizer terms[0] field 'term' is missing"),
         ({**_VECTORIZER, "terms": [{"term": "a", "df": "1"}]},
          "vectorizer terms[0] field 'df' must be a non-negative integer"),
+        ({**_VECTORIZER, "terms": [{"term": t, "df": 1} for t in ("a", "a", "b")]},
+         "vocabulary must be sorted and free of duplicates"),
     ], ids=["not-an-object", "missing-terms", "missing-n_docs", "missing-min_df",
-            "term-without-term", "non-integer-df"])
+            "term-without-term", "non-integer-df", "repeated-term"])
     def test_evaluate_malformed_vectorizer_is_data_error(self, tmp_path, capsys, vec, message):
         synth_dir, train_dir = tmp_path / "synth", tmp_path / "model"
         assert self._synth(synth_dir) == 0

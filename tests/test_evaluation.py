@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from commhate import evaluation
 from commhate.classifiers import Algorithm, TrainConfig
-from commhate.corpus import NEGATIVE, POSITIVE, LabeledDataset, write_dataset
+from commhate.corpus import NEGATIVE, POSITIVE, LabeledDataset, kfold_split, write_dataset
 from commhate.evaluation import (
     ConfusionCounts,
     ExperimentSpec,
@@ -32,6 +32,7 @@ from commhate.evaluation import (
     train_and_eval,
     vectors_for,
 )
+from commhate.seeding import derive_seed
 from commhate.vectorizer import fit_tfidf, model_fingerprint
 
 
@@ -339,6 +340,21 @@ class TestForkMap:
             "commhate: data error: experiment 'cv': worker process exited with status 3 "
             "before sending its results\n")
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_each_fold_equals_a_fold_counted_on_its_own(self, monkeypatch, cpus):
+        # cross_validate counts the dataset once and hands each task its
+        # rows; train_and_eval alone counts each side itself.
+        self._cpus(monkeypatch, cpus)
+        ds, seed = _noisy_dataset(), 5
+        results = cross_validate(ds, 4, list(Algorithm), seed=seed)
+        splits = kfold_split(ds, 4, derive_seed(seed, "cv", "folds"))
+        for kind, res in results.items():
+            for f, (train, test) in enumerate(splits):
+                alone = train_and_eval(ds.subset(train), ds.subset(test), kind,
+                                       seed=derive_seed(seed, "cv", kind.value, f))
+                assert (res.per_fold[f], res.vectorizer_fingerprints[f]) == alone
+        assert len({fp for r in results.values() for fp in r.vectorizer_fingerprints}) == 4
 
     def test_cross_validate_warns_nothing(self, monkeypatch):
         # Python 3.12+ warns when a process with threads forks. Under

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commhate import vectorizer
-from commhate.vectorizer import CsrBatch, fit_tfidf
+from commhate.vectorizer import CsrBatch, TfidfModel, count_terms, fit_tfidf
 
 TOKENS = st.text(alphabet="abcdefg", min_size=1, max_size=4)
 DOCS = st.lists(st.lists(TOKENS, min_size=0, max_size=8), min_size=1, max_size=12)
@@ -79,6 +80,53 @@ class TestCsrBatch:
         batch = CsrBatch([0, 0, 2], [0, 1], [1.0, 1.0], 3)
         assert len(batch) == 2
         assert batch.row_ids().tolist() == [1, 1]
+
+
+def _raw(batch):
+    return batch.indptr.tobytes(), batch.indices.tobytes(), batch.data.tobytes(), batch.dim
+
+
+# Mixed case and non-ASCII, so that code-point order differs from a locale's.
+COUNT_DOCS = st.lists(st.lists(st.sampled_from(["B", "a", "b", "é", "ab", "Ab", "z"]),
+                               max_size=8), min_size=1, max_size=12)
+
+
+class TestCountTerms:
+    def test_terms_come_out_in_code_point_order(self):
+        assert count_terms([["é", "a"], ["B", "a"]]).terms == ("B", "a", "é")
+
+    def test_empty_documents_give_empty_rows(self):
+        counts = count_terms([[], ["a"], []])
+        assert counts.batch.indptr.tolist() == [0, 0, 1, 1]
+        assert count_terms([]).terms == () and len(count_terms([]).batch) == 0
+
+    @given(COUNT_DOCS)
+    @settings(max_examples=50)
+    def test_rows_equal_per_document_counters(self, docs):
+        counts = count_terms(docs)
+        assert counts.terms == tuple(sorted({t for doc in docs for t in doc}))
+        assert len(counts.batch) == len(docs)
+        for (indices, values), doc in zip(_rows(counts.batch), docs):
+            assert {counts.terms[i]: v for i, v in zip(indices, values)} == Counter(doc)
+        from_generator = count_terms(doc for doc in docs)
+        assert from_generator.terms == counts.terms
+        assert _raw(from_generator.batch) == _raw(counts.batch)
+
+    @given(COUNT_DOCS, COUNT_DOCS, st.data(), st.integers(1, 2))
+    @settings(max_examples=50)
+    def test_rows_fit_and_transform_as_their_documents(self, docs, fit_docs, data, min_df):
+        idx = data.draw(st.permutations(range(len(docs))))
+        idx = idx[:data.draw(st.integers(1, len(idx)))]
+        picked, rows = [docs[i] for i in idx], count_terms(docs).rows(idx)
+        assert fit_tfidf(rows, min_df=min_df) == fit_tfidf(picked, min_df=min_df)
+        model = fit_tfidf(fit_docs, min_df=min_df)
+        for transform in (model.transform_all, model.transform_counts_all):
+            assert _raw(transform(rows)) == _raw(transform(picked))
+
+    def test_out_of_vocabulary_rows_are_empty(self):
+        model = fit_tfidf([["cat", "dog"]], min_df=1)
+        batch = model.transform_all(count_terms([["zebra"], [], ["dog", "emu"]]))
+        assert batch.indptr.tolist() == [0, 0, 0, 1] and batch.indices.tolist() == [1]
 
 
 class TestFit:
@@ -232,6 +280,14 @@ class TestPersistence:
         with pytest.raises(ValueError) as exc:
             vectorizer.load_tfidf(str(p))
         assert str(exc.value).startswith(f"{p}: ") and message in str(exc.value)
+
+    @pytest.mark.parametrize("vocabulary", [("a", "a", "b"), ("b", "a")])
+    def test_vocabulary_must_strictly_increase(self, vocabulary):
+        with pytest.raises(ValueError, match="sorted and free of duplicates"):
+            TfidfModel(vocabulary, (1,) * len(vocabulary), n_docs=3, min_df=1)
+        obj = {**self._GOOD, "terms": [{"term": t, "df": 1} for t in vocabulary]}
+        with pytest.raises(ValueError, match="sorted and free of duplicates"):
+            vectorizer.model_from_dict(obj)
 
     def test_well_formed_dict_loads(self):
         model = vectorizer.model_from_dict(self._GOOD)
