@@ -10,6 +10,9 @@ against a failed or killed run, not against a power cut.
 Reading raises ``FileNotFoundError`` for a missing file and ``ValueError``
 led by the path (and line) for any other fault: unreadable, bad UTF-8, bad
 JSON, nesting too deep, truncated or corrupt ``.gz``.
+
+It also owns the check on every field read back: the field kinds, and the
+messages ``<where>'field' is missing`` and ``<where>'field' must be <kind>``.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import contextlib
 import gzip
 import io
 import json
+import math
 import os
 import zlib
 from typing import Callable, Iterable, Iterator, TextIO
@@ -132,3 +136,73 @@ def read_jsonl(path: str, parse: Callable, strict: bool = False,
                 ) from exc
             if on_skip is not None:
                 on_skip(lineno + 1)
+
+
+def read_record(path: str, from_dict: Callable):
+    """``from_dict`` of the JSON document in ``path``, its ValueError led by the path."""
+    obj = read_json(path)
+    try:
+        return from_dict(obj)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _finite(value) -> bool:
+    try:  # an int beyond float range raises OverflowError
+        return (type(value) is int or isinstance(value, float)) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+# A field kind is (name, test, shown): the name completes "must be ...", and
+# a wrong value is shown unless the kind is a list. A bool's type is not int.
+STRING = ("a string", str.__instancecheck__, True)
+COUNT = ("a non-negative integer", lambda v: type(v) is int and v >= 0, True)
+NUMBER = ("a finite number", _finite, True)
+LIST = ("a list", list.__instancecheck__, False)
+# map() runs the per-item test without a Python frame per item.
+STRINGS = ("a list of strings",
+           lambda v: isinstance(v, list) and all(map(str.__instancecheck__, v)), False)
+NUMBERS = ("a list of finite numbers",
+           lambda v: isinstance(v, list) and all(map(_finite, v)), False)
+_CONFIG_KINDS = {int: ("an integer", lambda v: type(v) is int, False),
+                 float: ("a number", lambda v: type(v) is int or isinstance(v, float), False),
+                 str: ("a string", str.__instancecheck__, False), list: LIST,
+                 dict: ("a JSON object", dict.__instancecheck__, False)}
+
+
+def check_header(obj, what: str, version: int) -> None:
+    """Raise ValueError unless ``obj`` is a JSON object of the given ``version``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} file must hold a JSON object, got {type(obj).__name__}")
+    if obj.get("version") != version:
+        raise ValueError(f"unsupported {what} schema version: {obj.get('version')!r}")
+
+
+def fields(obj, where: str, kinds: Iterable[tuple[str, tuple]]) -> list:
+    """The values of the fields that the (name, kind) pairs ``kinds`` name, in
+    order. Each must be present and of its kind; a non-object lacks them all."""
+    values = []
+    for name, (kind, test, shown) in kinds:
+        try:
+            value = obj[name]
+        except (KeyError, TypeError):  # TypeError: obj is not a JSON object
+            raise ValueError(f"{where}{name!r} is missing") from None
+        if not test(value):
+            raise ValueError(f"{where}{name!r} must be {kind}"
+                             + (f", got {value!r}" if shown else ""))
+        values.append(value)
+    return values
+
+
+def check_types(obj: dict, types: dict, where: str, unknown: str) -> None:
+    """Raise ValueError for keys ``types`` lacks, then for a value not of the
+    kind ``types`` gives its key (a dict gives a section's); null is unset."""
+    extra = set(obj) - set(types)
+    if extra:
+        raise ValueError(f"{unknown}: {sorted(extra)}")
+    fields(obj, where, [(key, _CONFIG_KINDS[dict if isinstance(want, dict) else want])
+                        for key, want in types.items() if obj.get(key) is not None])
+    for key, want in types.items():
+        if isinstance(want, dict) and obj.get(key):
+            check_types(obj[key], want, f"{key!r} key ", f"unknown keys in {key!r}")

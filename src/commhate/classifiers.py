@@ -271,51 +271,19 @@ def model_to_dict(model: LinearModel, vectorizer_hash: str = "") -> dict:
     }
 
 
-def _field(obj: dict, name: str):
-    if name not in obj:
-        raise ValueError(f"model field {name!r} is missing")
-    return obj[name]
-
-
-def _is_number(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond float range
-        return False
-
-
-def _number(obj: dict, name: str) -> float:
-    value = _field(obj, name)
-    if not _is_number(value):
-        raise ValueError(f"model field {name!r} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _numbers(obj: dict, name: str) -> np.ndarray:
-    value = _field(obj, name)
-    if not isinstance(value, list) or not all(_is_number(v) for v in value):
-        raise ValueError(f"model field {name!r} must be a list of finite numbers")
-    return np.asarray(value, dtype=float)
-
-
 def model_from_dict(obj: dict) -> tuple[LinearModel, str]:
-    """Returns (model, vectorizer_hash recorded at save time). A missing or
-    ill-typed field raises ValueError naming it."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"model file must hold a JSON object, got {type(obj).__name__}")
-    version = obj.get("version")
-    if version != MODEL_SCHEMA_VERSION:
-        raise ValueError(f"unsupported model schema version: {version!r}")
-    algorithm = _field(obj, "algorithm")
+    """Returns (model, vectorizer_hash recorded at save time, "" if none
+    was). A missing or ill-typed field raises ValueError naming it."""
+    atomic.check_header(obj, "model", MODEL_SCHEMA_VERSION)
+    algorithm, weights, bias, vectorizer_hash = atomic.fields(
+        {"vectorizer_hash": "", **obj}, "model field ",
+        (("algorithm", atomic.STRING), ("weights", atomic.NUMBERS), ("bias", atomic.NUMBER),
+         ("vectorizer_hash", atomic.STRING)))
     try:
         algorithm = Algorithm(algorithm)
     except ValueError as exc:
         raise ValueError(f"model field 'algorithm': {exc}") from None
-    model = LinearModel(weights=_numbers(obj, "weights"), bias=_number(obj, "bias"),
-                        algorithm=algorithm)
-    return model, str(obj.get("vectorizer_hash", ""))
+    return LinearModel(weights=weights, bias=float(bias), algorithm=algorithm), vectorizer_hash
 
 
 def save_model(model: LinearModel, path: str, vectorizer_hash: str = "") -> None:
@@ -323,8 +291,4 @@ def save_model(model: LinearModel, path: str, vectorizer_hash: str = "") -> None
 
 
 def load_model(path: str) -> tuple[LinearModel, str]:
-    obj = atomic.read_json(path)
-    try:
-        return model_from_dict(obj)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return atomic.read_record(path, model_from_dict)

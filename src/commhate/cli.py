@@ -79,16 +79,7 @@ def load_run_config(path: str) -> dict:
     try:  # the file parsed, so every ValueError from here on is about its content
         if not isinstance(obj, dict):
             raise ValueError("config must be a JSON object")
-        unknown = set(obj) - set(types)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        evaluation.check_types(obj, types, "")
-        for section, keys in types.items():
-            if isinstance(keys, dict):
-                bad = set(obj.get(section) or {}) - set(keys)
-                if bad:
-                    raise ValueError(f"unknown keys in {section!r}: {sorted(bad)}")
-                evaluation.check_types(obj.get(section) or {}, keys, f"{section!r} key ")
+        atomic.check_types(obj, types, "", "unknown config keys")
         values = {}
         for section, key, _typ, dest, *_ in _SETTINGS:
             value = ((obj.get(section) or {}) if section else obj).get(key)

@@ -355,14 +355,12 @@ def write_dataset(dataset: LabeledDataset, path: str) -> None:
     ))
 
 
+_ROW_FIELDS = (("tokens", atomic.STRINGS), ("label", atomic.STRING), ("id", atomic.STRING),
+               ("community", atomic.STRING))
+
+
 def _dataset_row(obj: dict) -> tuple:
-    tokens, label, cid, community = obj["tokens"], obj["label"], obj["id"], obj["community"]
-    # map() runs the per-token isinstance check without a Python frame per token.
-    if not isinstance(tokens, list) or not all(map(str.__instancecheck__, tokens)):
-        raise ValueError("field 'tokens' must be a list of strings")
-    for key, value in (("label", label), ("id", cid), ("community", community)):
-        if not isinstance(value, str):
-            raise ValueError(f"field {key!r} must be a string, got {value!r}")
+    tokens, label, cid, community = atomic.fields(obj, "field ", _ROW_FIELDS)
     return tuple(tokens), label, (cid, community)
 
 
@@ -370,8 +368,7 @@ def load_dataset(path: str) -> LabeledDataset:
     """Load a dataset written by write_dataset; a malformed row raises
     ValueError naming ``path:line``."""
     rows = tuple(atomic.read_jsonl(path, _dataset_row, strict=True))
-    return LabeledDataset(tuple(r[0] for r in rows), tuple(r[1] for r in rows),
-                          tuple(r[2] for r in rows))
+    return LabeledDataset(*zip(*rows)) if rows else LabeledDataset((), (), ())
 
 
 def dataset_fingerprint(dataset: LabeledDataset) -> str:

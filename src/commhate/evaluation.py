@@ -304,22 +304,6 @@ def cross_validate(dataset: LabeledDataset, k: int, kinds: Sequence[Algorithm], 
 
 _SPEC_TYPES = {"name": str, "train_source": str, "test_source": str, "kinds": list,
                "seed": int, "imbalance_ratio": int}
-_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list",
-               dict: "a JSON object"}
-
-
-def check_types(obj: dict, types: dict, where: str) -> None:
-    """Raise ValueError for the first value whose JSON type is not the one
-    ``types`` gives its key (a dict there means a section). null means
-    unset; a bool is not a number; an integer is a number. Keys missing
-    from ``types`` are left to the caller."""
-    for key, value in obj.items():
-        want = dict if isinstance(types.get(key), dict) else types.get(key)
-        if want is None or value is None:
-            continue
-        accepted = (int, float) if want is float else want
-        if isinstance(value, bool) or not isinstance(value, accepted):
-            raise ValueError(f"{where}{key!r} must be {_TYPE_NAMES[want]}")
 
 
 @dataclass(frozen=True)
@@ -362,10 +346,7 @@ class ExperimentSpec:
 
 
 def experiment_from_dict(obj: dict) -> ExperimentSpec:
-    unknown = set(obj) - set(_SPEC_TYPES)
-    if unknown:
-        raise ValueError(f"unknown experiment config keys: {sorted(unknown)}")
-    check_types(obj, _SPEC_TYPES, "experiment key ")
+    atomic.check_types(obj, _SPEC_TYPES, "experiment key ", "unknown experiment config keys")
     missing = {k for k in ("name", "train_source", "test_source") if obj.get(k) is None}
     if missing:
         raise ValueError(f"missing experiment config keys: {sorted(missing)}")
@@ -434,11 +415,11 @@ def run_experiment(
             seed=derive_seed(spec.seed, "imbalance", spec.imbalance_ratio),
         )
     report["datasets"]["test"] = _dataset_entry(spec.test_source, test_ds)
+    rows = count_terms(train_ds.documents)
+    fitted = fit_tfidf(rows, min_df=min_df), rows, count_terms(test_ds.documents)
     for kind in sorted(set(spec.kinds), key=lambda a: a.value):
-        m, fp = train_and_eval(
-            train_ds, test_ds, kind,
-            seed=derive_seed(spec.seed, "holdout", kind.value), min_df=min_df,
-        )
+        m, fp = train_and_eval(train_ds, test_ds, kind, fitted=fitted,
+                               seed=derive_seed(spec.seed, "holdout", kind.value))
         report["results"][kind.value] = {
             "mode": "holdout",
             "metrics": asdict(m),

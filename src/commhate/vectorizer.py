@@ -192,43 +192,18 @@ def model_to_dict(model: TfidfModel) -> dict:
     }
 
 
-def _field(obj, name: str, where: str):
-    if not isinstance(obj, dict) or name not in obj:
-        raise ValueError(f"{where} {name!r} is missing")
-    return obj[name]
-
-
-def _count(obj, name: str, where: str = "vectorizer field") -> int:
-    value = _field(obj, name, where)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{where} {name!r} must be a non-negative integer, got {value!r}")
-    return value
+_FIELDS = (("terms", atomic.LIST), ("n_docs", atomic.COUNT), ("min_df", atomic.COUNT))
+_TERM_FIELDS = (("term", atomic.STRING), ("df", atomic.COUNT))
 
 
 def model_from_dict(obj: dict) -> TfidfModel:
-    """Inverse of model_to_dict. A missing or ill-typed field raises
-    ValueError naming it."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"vectorizer file must hold a JSON object, got {type(obj).__name__}")
-    if obj.get("version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported vectorizer schema version: {obj.get('version')!r}")
-    terms = _field(obj, "terms", "vectorizer field")
-    if not isinstance(terms, list):
-        raise ValueError("vectorizer field 'terms' must be a list")
-    vocabulary, doc_freq = [], []
+    """Inverse of model_to_dict; a missing or ill-typed field raises ValueError naming it."""
+    atomic.check_header(obj, "vectorizer", SCHEMA_VERSION)
+    terms, n_docs, min_df = atomic.fields(obj, "vectorizer field ", _FIELDS)
+    flat = []  # term, df, term, df, ...: no list per entry lives on for the GC to scan
     for k, entry in enumerate(terms):
-        where = f"vectorizer terms[{k}] field"
-        term = _field(entry, "term", where)
-        if not isinstance(term, str):
-            raise ValueError(f"{where} 'term' must be a string, got {term!r}")
-        vocabulary.append(term)
-        doc_freq.append(_count(entry, "df", where))
-    return TfidfModel(
-        vocabulary=tuple(vocabulary),
-        doc_freq=tuple(doc_freq),
-        n_docs=_count(obj, "n_docs"),
-        min_df=_count(obj, "min_df"),
-    )
+        flat += atomic.fields(entry, f"vectorizer terms[{k}] field ", _TERM_FIELDS)
+    return TfidfModel(tuple(flat[0::2]), tuple(flat[1::2]), n_docs=n_docs, min_df=min_df)
 
 
 def save_tfidf(model: TfidfModel, path: str) -> None:
@@ -236,11 +211,7 @@ def save_tfidf(model: TfidfModel, path: str) -> None:
 
 
 def load_tfidf(path: str) -> TfidfModel:
-    obj = atomic.read_json(path)
-    try:
-        return model_from_dict(obj)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return atomic.read_record(path, model_from_dict)
 
 
 def model_fingerprint(model: TfidfModel) -> str:

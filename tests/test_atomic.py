@@ -1,5 +1,6 @@
 """Artifacts are replaced atomically: a failed write leaves the old file (or
-no file) and no temp file; a new file gets the mode open(path, "w") gives."""
+no file) and no temp file; a new file gets the mode open(path, "w") gives.
+The field kinds that every reader checks with hold at their boundaries."""
 
 import gzip
 import io
@@ -157,3 +158,96 @@ def test_gz_artifacts_are_byte_reproducible(tmp_path, monkeypatch, capsys):
     # gzip records the name of the uncompressed file: the target's, not a temp file's.
     assert header[10:header.index(b"\0", 10)] == b"kept.jsonl"
     assert len(gzip.decompress(header).splitlines()) == 50
+
+
+_NAN, _INF = json.loads("NaN"), json.loads("Infinity")  # the literals json.loads accepts
+
+
+class TestFieldKinds:
+    """The kinds every reader checks its fields with, at their boundaries. A
+    message of None means the value is accepted."""
+
+    @pytest.mark.parametrize("kind,value,message", [
+        pytest.param(atomic.STRING, "", None, id="string"),
+        pytest.param(atomic.STRING, None, "must be a string, got None", id="null-string"),
+        pytest.param(atomic.STRING, ["c"], "must be a string, got ['c']", id="list-string"),
+        pytest.param(atomic.COUNT, 0, None, id="count-zero"),
+        pytest.param(atomic.COUNT, True, "must be a non-negative integer, got True",
+                     id="true-count"),
+        pytest.param(atomic.COUNT, False, "must be a non-negative integer, got False",
+                     id="false-count"),
+        pytest.param(atomic.COUNT, 1.0, "must be a non-negative integer, got 1.0",
+                     id="float-count"),
+        pytest.param(atomic.COUNT, -1, "must be a non-negative integer, got -1",
+                     id="negative-count"),
+        pytest.param(atomic.NUMBER, 3, None, id="int-number"),
+        pytest.param(atomic.NUMBER, -2.5, None, id="float-number"),
+        pytest.param(atomic.NUMBER, 10**308, None, id="large-int-number"),
+        pytest.param(atomic.NUMBER, True, "must be a finite number, got True", id="true-number"),
+        pytest.param(atomic.NUMBER, False, "must be a finite number, got False", id="false-number"),
+        pytest.param(atomic.NUMBER, "1", "must be a finite number, got '1'", id="string-number"),
+        pytest.param(atomic.NUMBER, 10**400, f"must be a finite number, got {10**400}",
+                     id="huge-int"),
+        pytest.param(atomic.NUMBER, _NAN, "must be a finite number, got nan", id="nan"),
+        pytest.param(atomic.NUMBER, _INF, "must be a finite number, got inf", id="infinity"),
+        pytest.param(atomic.NUMBER, -_INF, "must be a finite number, got -inf", id="-infinity"),
+        pytest.param(atomic.LIST, [], None, id="list"),
+        pytest.param(atomic.LIST, {"a": 1}, "must be a list", id="object-list"),
+        pytest.param(atomic.STRINGS, ["a", ""], None, id="strings"),
+        pytest.param(atomic.STRINGS, "ab", "must be a list of strings", id="string-strings"),
+        pytest.param(atomic.STRINGS, ["a", 1], "must be a list of strings", id="int-in-strings"),
+        pytest.param(atomic.NUMBERS, [1, 2.5], None, id="numbers"),
+        pytest.param(atomic.NUMBERS, [[1.0]], "must be a list of finite numbers",
+                     id="nested-numbers"),
+        pytest.param(atomic.NUMBERS, [True], "must be a list of finite numbers",
+                     id="bool-in-numbers"),
+        pytest.param(atomic.NUMBERS, [_INF], "must be a list of finite numbers",
+                     id="inf-in-numbers"),
+        pytest.param(atomic.NUMBERS, [10**400], "must be a list of finite numbers",
+                     id="huge-int-in-numbers"),
+    ])
+    def test_kind(self, kind, value, message):
+        check = lambda: atomic.fields({"f": value}, "row field ", [("f", kind)])
+        if message is None:
+            assert check() == [value]
+            return
+        with pytest.raises(ValueError) as exc:
+            check()
+        # Word for word: a scalar kind shows the wrong value, a list kind does not.
+        assert str(exc.value) == f"row field 'f' {message}"
+
+    def test_values_come_in_kinds_order_and_the_first_fault_is_named(self):
+        kinds = [("a", atomic.STRING), ("b", atomic.COUNT), ("c", atomic.NUMBER)]
+        assert atomic.fields({"c": 0.5, "b": 2, "a": "x", "d": None}, "", kinds) == ["x", 2, 0.5]
+        with pytest.raises(ValueError, match=r"^'b' is missing$"):
+            atomic.fields({"c": "bad", "a": "x"}, "", kinds)
+
+    @pytest.mark.parametrize("obj", [None, 3, "a", ["a"]], ids=["null", "int", "string", "list"])
+    def test_non_object_record_is_missing_its_first_field(self, obj):
+        with pytest.raises(ValueError, match=r"^row field 'a' is missing$"):
+            atomic.fields(obj, "row field ", [("a", atomic.STRING), ("b", atomic.COUNT)])
+
+    @pytest.mark.parametrize("want,value,name", [
+        pytest.param(int, 3, None, id="integer"),
+        pytest.param(int, True, "an integer", id="bool-integer"),
+        pytest.param(int, 3.0, "an integer", id="float-integer"),
+        pytest.param(float, 3, None, id="int-number"),
+        pytest.param(float, 0.5, None, id="number"),
+        pytest.param(float, False, "a number", id="bool-number"),
+        pytest.param(str, "x", None, id="string"),
+        pytest.param(str, 5, "a string", id="int-string"),
+        pytest.param(list, [], None, id="list"),
+        pytest.param(list, "ab", "a list", id="string-list"),
+        pytest.param({"k": int}, {"k": 1}, None, id="section"),
+        pytest.param({"k": int}, [1], "a JSON object", id="list-section"),
+        pytest.param(int, None, None, id="null-is-unset"),
+        pytest.param({"k": int}, None, None, id="null-section-is-unset"),
+    ])
+    def test_config_kind(self, want, value, name):
+        check = lambda: atomic.check_types({"key": value}, {"key": want}, "cfg ", "unknown keys")
+        if name is None:
+            check()
+            return
+        with pytest.raises(ValueError) as exc:
+            check()
+        assert str(exc.value) == f"cfg 'key' must be {name}"  # the value is never shown

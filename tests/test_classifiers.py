@@ -353,12 +353,26 @@ class TestDispatchAndPersistence:
         ({"version": 2, "algorithm": "lr", "weights": [10**400], "bias": 0.0}, "weights"),
         ({"version": 2, "algorithm": "lr", "weights": [1.0], "bias": [0.0]}, "bias"),
         ({"version": 2, "algorithm": "lr", "weights": [1.0], "bias": float("inf")}, "bias"),
+        ({"version": 2, "algorithm": "lr", "weights": [1.0], "bias": 0.0,
+          "vectorizer_hash": None}, "vectorizer_hash"),
+        ({"version": 2, "algorithm": "lr", "weights": [1.0], "bias": 0.0,
+          "vectorizer_hash": ["x"]}, "vectorizer_hash"),
+        ({"version": 2, "algorithm": "lr", "weights": [1.0], "bias": 0.0,
+          "vectorizer_hash": False}, "vectorizer_hash"),
     ])
     def test_malformed_field_is_named(self, tmp_path, obj, field):
         p = tmp_path / "model.json"
         p.write_text(json.dumps(obj), encoding="utf-8")
         with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: model field '{field}'"):
             classifiers.load_model(str(p))
+
+    @pytest.mark.parametrize("extra,recorded", [
+        ({}, ""), ({"vectorizer_hash": ""}, ""), ({"vectorizer_hash": "abc123"}, "abc123"),
+    ], ids=["absent", "empty", "set"])
+    def test_recorded_vectorizer_hash(self, extra, recorded):
+        # An absent or empty hash records no vectorizer; evaluate then skips the check.
+        obj = {"version": 2, "algorithm": "lr", "weights": [1.0], "bias": 0.0, **extra}
+        assert classifiers.model_from_dict(obj)[1] == recorded
 
     @pytest.mark.parametrize("obj", [[1, 2], "model", 3, None])
     def test_non_object_file_is_rejected(self, obj):

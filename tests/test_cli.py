@@ -626,8 +626,10 @@ class TestSynthTrainEvaluate:
          "model field 'bias' must be a finite number"),
         ({"version": 2, "algorithm": "lr", "weights": [1.0], "bias": 0},
          "has 1 weights but the vectorizer has 10 terms"),
+        ({"version": 2, "algorithm": "lr", "weights": [1.0], "bias": 0, "vectorizer_hash": None},
+         "model field 'vectorizer_hash' must be a string, got None"),
     ], ids=["missing-field", "not-an-object", "non-numeric-weights",
-            "non-numeric-bias", "wrong-dimension"])
+            "non-numeric-bias", "wrong-dimension", "null-vectorizer-hash"])
     def test_evaluate_malformed_model_is_data_error(self, tmp_path, capsys, model, message):
         synth_dir, train_dir = tmp_path / "synth", tmp_path / "model"
         assert self._synth(synth_dir) == 0

@@ -6,6 +6,7 @@ import os
 import random
 import re
 import warnings
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -178,14 +179,15 @@ class TestTrainingPlumbing:
 
     def test_vectorizer_fit_on_training_split_only(self):
         train_ds, test_ds = _toy_dataset(8, seed=0), _toy_dataset(4, seed=5)
+        # Premise: the test side has a term the training side lacks, so a fit
+        # that saw the test side has a fingerprint of its own.
+        test_ds = LabeledDataset(tuple(doc + ("unseen",) for doc in test_ds.documents),
+                                 test_ds.labels, test_ds.provenance)
+        assert set(chain(*test_ds.documents)) - set(chain(*train_ds.documents))
         _, fingerprint = train_and_eval(train_ds, test_ds, Algorithm.LR, seed=1)
         assert fingerprint == model_fingerprint(fit_tfidf(train_ds.documents, min_df=2))
-        joint = fit_tfidf(
-            list(train_ds.documents) + list(test_ds.documents), min_df=2
-        )
-        assert fingerprint != model_fingerprint(joint) or (
-            joint.idf_values == fit_tfidf(train_ds.documents, min_df=2).idf_values
-        )
+        joint = fit_tfidf(list(train_ds.documents) + list(test_ds.documents), min_df=2)
+        assert fingerprint != model_fingerprint(joint)
 
 
 class TestCrossValidate:
@@ -432,6 +434,21 @@ class TestRunExperiment:
         assert entry["mode"] == "holdout"
         assert entry["metrics"]["accuracy"] == 1.0
         assert len(entry["vectorizer_fingerprint"]) == 64
+
+    def test_holdout_fits_one_vectorizer_for_every_kind(self, data_dir, monkeypatch):
+        fits = []
+
+        def counted(*args, **kwargs):
+            fits.append(1)
+            return fit_tfidf(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "fit_tfidf", counted)
+        spec = ExperimentSpec(name="holdout", train_source="train.jsonl",
+                              test_source="test.jsonl", kinds=tuple(Algorithm))
+        report = run_experiment(spec, base_dir=str(data_dir))
+        assert len(fits) == 1
+        fingerprints = {entry["vectorizer_fingerprint"] for entry in report["results"].values()}
+        assert len(report["results"]) == 3 and len(fingerprints) == 1
 
     def test_cv_report(self, data_dir):
         spec = ExperimentSpec(
