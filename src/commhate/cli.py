@@ -199,18 +199,21 @@ def _prep_config(args) -> textprep.PreprocessConfig:
         raise ValueError(f"{path}: stopword list is not valid UTF-8: {exc}") from None
 
 
-def _load_corpus(path: str, platform: corpus.Platform):
-    slice_, skipped = corpus.load_jsonl(path, platform=platform)
+def _comments(args, path: str):
+    """Stream one corpus side's comments, then note its skipped malformed lines."""
+    skipped = []
+    yield from corpus.iter_jsonl(path, platform=corpus.Platform(args.platform),
+                                 on_skip=skipped.append)
     if skipped:
-        print(f"note: skipped {skipped} malformed line(s) in {path}", file=sys.stderr)
-    return slice_
+        print(f"note: skipped {len(skipped)} malformed line(s) in {path}", file=sys.stderr)
 
 
-def _tokenize_corpus(slice_, prep) -> list[list[str]]:
-    kept, _dropped = corpus._tokenized(slice_, prep)
-    if not kept:
+def _documents(args, path: str, prep) -> list[list[str]]:
+    """One corpus side's token lists."""
+    rows, _dropped = corpus.tokenize(_comments(args, path), prep)
+    if not rows:
         raise ValueError("corpus is empty after preprocessing")
-    return [toks for _c, toks in kept]
+    return [tokens for _id, _community, tokens in rows]
 
 
 def _out_dir(args) -> str:
@@ -240,22 +243,19 @@ def cmd_ingest(args) -> tuple[dict, list[str]]:
 def cmd_preprocess(args) -> tuple[dict, list[str]]:
     prep = _prep_config(args)
     out_path = os.path.join(_out_dir(args), args.output)
-    slice_ = _load_corpus(args.input, corpus.Platform(args.platform))
-    kept, dropped = corpus._tokenized(slice_, prep)
-    atomic.write_jsonl(out_path, ({"id": c.id, "community": c.community, "tokens": toks}
-                                  for c, toks in kept))
-    print(f"preprocessed {len(kept)} comment(s) -> {out_path} ({dropped} dropped)")
-    return ({"kept": len(kept), "dropped": dropped, "stopwords": len(prep.stopwords)},
+    rows, dropped = corpus.tokenize(_comments(args, args.input), prep)
+    atomic.write_jsonl(out_path, ({"id": cid, "community": community, "tokens": tokens}
+                                  for cid, community, tokens in rows))
+    print(f"preprocessed {len(rows)} comment(s) -> {out_path} ({dropped} dropped)")
+    return ({"kept": len(rows), "dropped": dropped, "stopwords": len(prep.stopwords)},
             [out_path])
 
 
 def cmd_topics(args) -> tuple[dict, list[str]]:
     prep = _prep_config(args)
     llda_cfg = dataclasses.replace(args.llda_config, seed=derive_seed(args.seed, "topics"))
-    pos = _load_corpus(args.pos, corpus.Platform(args.platform))
-    neg = _load_corpus(args.neg, corpus.Platform(args.platform))
-    pos_docs = _tokenize_corpus(pos, prep)
-    neg_docs = _tokenize_corpus(neg, prep)
+    pos_docs = _documents(args, args.pos, prep)
+    neg_docs = _documents(args, args.neg, prep)
     model = topics.fit_two_sides(pos_docs, neg_docs, llda_cfg)
     report = topics.topic_report(model, args.k, ranking=args.ranking)
     out_dir = _out_dir(args)
@@ -273,12 +273,8 @@ def cmd_keywords(args) -> tuple[dict, list[str]]:
     prep = _prep_config(args)
     method = keywords.KeywordMethod(args.method)
     llda_cfg = dataclasses.replace(args.llda_config, seed=derive_seed(args.seed, "keywords"))
-    hate = _load_corpus(args.hate, corpus.Platform(args.platform))
-    contrast = _load_corpus(args.contrast, corpus.Platform(args.platform))
     ks = keywords.build_keyword_set(
-        method,
-        _tokenize_corpus(hate, prep),
-        _tokenize_corpus(contrast, prep),
+        method, _documents(args, args.hate, prep), _documents(args, args.contrast, prep),
         k=args.keyword_k, target_group=args.target_group, min_df=args.keyword_min_df,
         llda_config=llda_cfg,
     )
@@ -297,9 +293,8 @@ def _assemble_dataset(args, seed: int):
     if args.dataset:
         return corpus.load_dataset(args.dataset), None
     prep = _prep_config(args)
-    pos = _load_corpus(args.pos, corpus.Platform(args.platform))
-    neg = _load_corpus(args.neg, corpus.Platform(args.platform))
-    return corpus.build_balanced(pos, neg, seed=seed, config=prep)
+    return corpus.build_balanced(_comments(args, args.pos), _comments(args, args.neg),
+                                 seed=seed, config=prep)
 
 
 def cmd_train(args) -> tuple[dict, list[str]]:

@@ -1,7 +1,12 @@
-"""Comment corpora: JSONL ingestion, sampling, dataset assembly, fold splits.
+"""Comment corpora: JSONL ingestion, tokenization, sampling, dataset
+assembly, fold splits.
 
 Reads the monthly Reddit dump format (one JSON object per line, optionally
-gzip-compressed) as well as generic JSONL from other platforms. Sampling
+gzip-compressed) as well as generic JSONL from other platforms; a record with
+a field of the wrong kind is malformed, never coerced. ``tokenize`` is the
+one place a comment becomes tokens or is dropped (deleted, or no token left
+after preprocessing). It reads any iterable of comments once and keeps
+(id, community, tokens) rows, so no later stage holds a ``Comment``. Sampling
 uses CPython's Mersenne Twister (``random.Random``) with explicit partial
 Fisher-Yates selection, so every draw is a pure function of (input, seed).
 """
@@ -129,21 +134,37 @@ def comment_from_record(obj: dict, platform: Platform,
     community = ""
     keys = _COMMUNITY_KEYS if platform != Platform.REDDIT else ("subreddit", "community")
     for key in keys:
-        if obj.get(key):
-            community = str(obj[key])
+        value = obj.get(key)
+        if value is not None and type(value) is not str:
+            raise ValueError(f"record field {key!r} must be a string, got {value!r}")
+        if value:
+            community = value
             break
     created = 0
     for key in _CREATED_KEYS:
-        if obj.get(key) is not None:
+        value = obj.get(key)
+        if value is not None:
+            if type(value) not in (int, float, str):  # a bool's type is not int
+                raise ValueError(f"record field {key!r} must be a number or an integer "
+                                 f"string, got {value!r}")
             try:
-                created = int(obj[key])
+                created = int(value)
             except OverflowError:  # 1e400 parses as inf
                 raise ValueError(f"record field {key!r} is out of range") from None
             break
-    body = obj.get("body")
+    body, cid, author = obj.get("body"), obj.get("id") or "", obj.get("author")
     if body is None:
         raise ValueError("record has no body field")
-    cid, body = str(obj.get("id") or ""), str(body)
+    if not isinstance(body, str):
+        raise ValueError(f"record field 'body' must be a string, got {body!r}")
+    if type(cid) is not str:
+        if type(cid) is not int:
+            raise ValueError(f"record field 'id' must be a string or an integer, got {cid!r}")
+        cid = str(cid)
+    if author is None:
+        author = ""
+    elif not isinstance(author, str):
+        raise ValueError(f"record field 'author' must be a string, got {author!r}")
     if communities is not None and community not in communities:
         _checked_deleted(cid, body, community, False)
         return None
@@ -153,7 +174,7 @@ def comment_from_record(obj: dict, platform: Platform,
         community=community,
         platform=platform,
         created_at=created,
-        author=str(obj.get("author") or ""),
+        author=author,
     )
 
 
@@ -186,15 +207,9 @@ def load_jsonl(
 
     Returns (slice, number of skipped malformed lines).
     """
-    skipped = [0]
-
-    def bump(_lineno: int) -> None:
-        skipped[0] += 1
-
-    comments = tuple(
-        iter_jsonl(path, community_filter, platform, strict=strict, on_skip=bump)
-    )
-    return CorpusSlice(comments), skipped[0]
+    skipped = []
+    comments = iter_jsonl(path, community_filter, platform, strict, skipped.append)
+    return CorpusSlice(comments), len(skipped)
 
 
 def write_jsonl(comments: Iterable[Comment], path: str) -> int:
@@ -226,21 +241,19 @@ def sample_without_replacement(items: list, n: int, rng: random.Random) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _tokenized(slice_: CorpusSlice, config) -> tuple[list, int]:
-    """Preprocess a slice into (comment, tokens) pairs, dropping deleted and
-    empty-token documents. Returns the kept pairs and the drop tally."""
+def tokenize(comments: Iterable[Comment], config=None) -> tuple[list, int]:
+    """Preprocess comments, read once, into (id, community, tokens) rows. A
+    comment that is deleted, or has no token left, is dropped. Returns the
+    rows and the drop tally."""
     cfg = config or textprep.default_config()
-    kept, dropped = [], 0
-    for c in slice_.comments:
-        if c.deleted:
+    rows, dropped = [], 0
+    for c in comments:
+        tokens = None if c.deleted else textprep.preprocess(c.body, cfg)
+        if tokens:
+            rows.append((c.id, c.community, tokens))
+        else:
             dropped += 1
-            continue
-        tokens = textprep.preprocess(c.body, cfg)
-        if not tokens:
-            dropped += 1
-            continue
-        kept.append((c, tokens))
-    return kept, dropped
+    return rows, dropped
 
 
 def balanced_pair(positive: list, negative: list, rng: random.Random) -> tuple[list, list]:
@@ -255,18 +268,18 @@ def balanced_pair(positive: list, negative: list, rng: random.Random) -> tuple[l
 
 
 def dataset_from_pairs(positive: list, negative: list) -> LabeledDataset:
-    """A dataset of (comment, tokens) pairs: the positives, then the negatives."""
-    pairs = positive + negative
+    """A dataset of ``tokenize`` rows: the positives, then the negatives."""
+    rows = positive + negative
     return LabeledDataset(
-        tuple(tokens for _, tokens in pairs),
+        tuple(tokens for _, _, tokens in rows),
         (POSITIVE,) * len(positive) + (NEGATIVE,) * len(negative),
-        tuple((c.id, c.community) for c, _ in pairs),
+        tuple((cid, community) for cid, community, _ in rows),
     )
 
 
 def build_balanced(
-    positive: CorpusSlice,
-    negative: CorpusSlice,
+    positive: Iterable[Comment],
+    negative: Iterable[Comment],
     seed: int = 0,
     config=None,
 ) -> tuple[LabeledDataset, int]:
@@ -275,8 +288,8 @@ def build_balanced(
     Returns (dataset, drop tally) where the tally counts deleted and
     empty-after-preprocessing documents removed before balancing.
     """
-    pos, dropped_p = _tokenized(positive, config)
-    neg, dropped_n = _tokenized(negative, config)
+    pos, dropped_p = tokenize(positive, config)
+    neg, dropped_n = tokenize(negative, config)
     if not pos or not neg:
         raise ValueError("both slices must be non-empty after preprocessing")
     pos, neg = balanced_pair(pos, neg, random.Random(seed))

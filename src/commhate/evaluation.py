@@ -29,10 +29,12 @@ from .corpus import (
     NEGATIVE,
     POSITIVE,
     LabeledDataset,
+    build_balanced,
     dataset_fingerprint,
     imbalanced_subset,
     kfold_split,
     load_dataset,
+    tokenize,
 )
 from .seeding import derive_seed
 from .vectorizer import (DEFAULT_MIN_DF, CsrBatch, Documents, TermCounts, TfidfModel,
@@ -492,11 +494,9 @@ def overlap_curve(
     sides surface them, which is exactly the overlap being measured
     (distinctiveness ranking would subtract it away by design).
     """
-    from . import textprep
     from .synthgen import SynthSpec, generate
     from .topics import LldaConfig, fit_two_sides, jaccard_index, top_terms
 
-    cfg = textprep.default_config()
     out = []
     for w in overlaps:
         spec = SynthSpec(
@@ -504,8 +504,8 @@ def overlap_curve(
             overlap_weight=w, seed=derive_seed(seed, "curve", repr(w)),
         )
         pos, neg, _gt = generate(spec)
-        pos_docs = [textprep.preprocess(c.body, cfg) for c in pos.comments]
-        neg_docs = [textprep.preprocess(c.body, cfg) for c in neg.comments]
+        pos_docs, neg_docs = ([tokens for _, _, tokens in tokenize(side)[0]]
+                              for side in (pos, neg))
         model = fit_two_sides(
             pos_docs, neg_docs, LldaConfig(seed=derive_seed(seed, "curve", "llda", repr(w)))
         )
@@ -522,9 +522,8 @@ def community_vs_keyword_gap(
     n_docs_per_side: int = 5000,
     overlap_weight: float = 0.6,
     keyword_k: int = 30,
-    kind: Algorithm = Algorithm.LR,
 ) -> dict:
-    """Train one classifier on community labels and one on keyword-matched
+    """Train one LR classifier on community labels and one on keyword-matched
     labels over the same pool; score both on a held-out truth-labeled test.
 
     Keyword matching labels every comment containing a keyword as positive.
@@ -532,8 +531,6 @@ def community_vs_keyword_gap(
     surfaces both sides' distinctive terms), those matches sweep in genuine
     negatives, so the keyword-trained model inherits a corrupted boundary.
     """
-    from . import textprep
-    from .corpus import CorpusSlice, build_balanced
     from .keywords import KeywordMethod, build_keyword_set, keyword_match_dataset
     from .synthgen import SynthSpec, generate
 
@@ -547,38 +544,27 @@ def community_vs_keyword_gap(
     kw_n = n_docs_per_side // 5
     test_n = n_docs_per_side // 5
     pool_lo, pool_hi = kw_n, n_docs_per_side - test_n
-    cfg = textprep.default_config()
-
-    def docs(comments) -> list[list[str]]:
-        return [textprep.preprocess(c.body, cfg) for c in comments]
-
-    keyword_set = build_keyword_set(
-        KeywordMethod.CHI2_I,
-        docs(pos.comments[:kw_n]),
-        docs(neg.comments[:kw_n]),
-        k=keyword_k,
-    )
-    pool_pos = CorpusSlice(pos.comments[pool_lo:pool_hi])
-    pool_neg = CorpusSlice(neg.comments[pool_lo:pool_hi])
-    pool_mixed = CorpusSlice(pool_pos.comments + pool_neg.comments)
+    kw_docs = ([tokens for _, _, tokens in tokenize(side.comments[:kw_n])[0]]
+               for side in (pos, neg))
+    keyword_set = build_keyword_set(KeywordMethod.CHI2_I, *kw_docs, k=keyword_k)
+    pool_pos = pos.comments[pool_lo:pool_hi]
+    pool_neg = neg.comments[pool_lo:pool_hi]
     community_train, _ = build_balanced(
         pool_pos, pool_neg, seed=derive_seed(seed, "gap", "community")
     )
     n_side = (pool_hi - pool_lo) * 2 // 5
     baseline_train = keyword_match_dataset(
-        pool_mixed, keyword_set, n_pos=n_side, n_neg=n_side,
+        pool_pos + pool_neg, keyword_set, n_pos=n_side, n_neg=n_side,
         seed=derive_seed(seed, "gap", "kwmatch"),
     )
     test_ds, _ = build_balanced(
-        CorpusSlice(pos.comments[pool_hi:]),
-        CorpusSlice(neg.comments[pool_hi:]),
-        seed=derive_seed(seed, "gap", "test"),
+        pos.comments[pool_hi:], neg.comments[pool_hi:], seed=derive_seed(seed, "gap", "test")
     )
     community_metrics, _ = train_and_eval(
-        community_train, test_ds, kind, seed=derive_seed(seed, "gap", "train", "community")
+        community_train, test_ds, Algorithm.LR, seed=derive_seed(seed, "gap", "train", "community")
     )
     baseline_metrics, _ = train_and_eval(
-        baseline_train, test_ds, kind, seed=derive_seed(seed, "gap", "train", "baseline")
+        baseline_train, test_ds, Algorithm.LR, seed=derive_seed(seed, "gap", "train", "baseline")
     )
     return {
         "seed": seed,

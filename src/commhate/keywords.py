@@ -22,17 +22,17 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import atomic
 from .corpus import (
-    CorpusSlice,
+    Comment,
     LabeledDataset,
-    _tokenized,
     dataset_from_pairs,
     sample_without_replacement,
+    tokenize,
 )
 from .topics import LldaConfig, fit_two_sides, term_scores, top_terms
 from .vectorizer import count_terms
@@ -151,12 +151,11 @@ def matches_keywords(tokens: Sequence[str], keyword_terms: frozenset[str]) -> bo
 
 
 def keyword_match_dataset(
-    pool: CorpusSlice,
+    pool: Iterable[Comment],
     keywords: KeywordSet,
     n_pos: int,
     n_neg: int,
     seed: int = 0,
-    config=None,
 ) -> LabeledDataset:
     """Label a comment pool by keyword presence and sample a training set.
 
@@ -166,10 +165,10 @@ def keyword_match_dataset(
     """
     if n_pos < 1 or n_neg < 1:
         raise ValueError("n_pos and n_neg must be >= 1")
-    kept, _dropped = _tokenized(pool, config)
+    rows, _dropped = tokenize(pool)
     terms = keywords.term_set()
-    pos_pool = [(c, tok) for c, tok in kept if matches_keywords(tok, terms)]
-    neg_pool = [(c, tok) for c, tok in kept if not matches_keywords(tok, terms)]
+    pos_pool = [row for row in rows if matches_keywords(row[2], terms)]
+    neg_pool = [row for row in rows if not matches_keywords(row[2], terms)]
     if len(pos_pool) < n_pos or len(neg_pool) < n_neg:
         raise ValueError(
             f"insufficient keyword matches: need {n_pos} positive / {n_neg} negative, "

@@ -318,7 +318,8 @@ class TestIngest:
         b"\xff\xfe\n",
         b'{"id": "x", "body": "b", "subreddit": "alpha", "created_utc": 1e400}\n',
         b"[" * 100_000 + b"\n",
-    ], ids=["invalid-utf8", "inf-timestamp", "deep-nesting"])
+        b'{"id": "x", "body": ["kill", "them"], "subreddit": "alpha"}\n',
+    ], ids=["invalid-utf8", "inf-timestamp", "deep-nesting", "list-body"])
     def test_bad_line_is_skipped_or_named(self, tmp_path, capsys, bad):
         rows = [json.dumps(r).encode() + b"\n"
                 for r in _reddit_rows("alpha", ["keep me", "me too"], "a")]
@@ -561,6 +562,39 @@ class TestTopicsAndKeywords:
         assert code == 1
         assert capsys.readouterr().err == "commhate: error: k must be >= 1\n"
         assert not out_dir.exists()
+
+
+class TestCorpusSides:
+    """topics, keywords and train read each side as a stream of comments."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["topics", "--pos", "{pos}", "--neg", "{gone}"],
+         "corpus is empty after preprocessing"),
+        (["keywords", "--method", "chi2_i", "--hate", "{gone}", "--contrast", "{pos}"],
+         "corpus is empty after preprocessing"),
+        (["train", "--pos", "{pos}", "--neg", "{gone}"],
+         "both slices must be non-empty after preprocessing"),
+    ], ids=["topics", "keywords", "train"])
+    def test_all_deleted_side_is_data_error(self, corpora, tmp_path, capsys, argv,
+                                            message):
+        pos, _ = corpora
+        gone = tmp_path / "gone.jsonl"
+        _write_jsonl(gone, _reddit_rows("gone", ["[deleted]", "[removed]"] * 3, "g"))
+        argv = [a.format(pos=pos, gone=gone) for a in argv]
+        assert _run(argv + ["--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"commhate: data error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["topics", "train"])
+    def test_malformed_lines_are_noted_once(self, corpora, tmp_path, capsys, command):
+        pos, neg = corpora
+        noisy = tmp_path / "noisy.jsonl"
+        lines = pos.read_text(encoding="utf-8").splitlines(keepends=True)
+        noisy.write_text("{broken\n" + "".join(lines[:5]) + "[1, 2]\n" + "".join(lines[5:]),
+                         encoding="utf-8")
+        assert _run([command, "--pos", str(noisy), "--neg", str(neg),
+                     "--output-dir", str(tmp_path / "out")]) == 0
+        notes = [l for l in capsys.readouterr().err.splitlines() if l.startswith("note:")]
+        assert notes == [f"note: skipped 2 malformed line(s) in {noisy}"]
 
 
 class TestSynthTrainEvaluate:

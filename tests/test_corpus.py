@@ -198,6 +198,32 @@ class TestJsonlIO:
         with pytest.raises(ValueError, match=rf"{name}:2: malformed record"):
             list(corpus.iter_jsonl(str(p), strict=True))
 
+    @pytest.mark.parametrize("field,value,reason", [
+        ("body", ["kill", "them"], "'body' must be a string, got ['kill', 'them']"),
+        ("subreddit", ["a"], "'subreddit' must be a string, got ['a']"),
+        ("subreddit", 0, "'subreddit' must be a string, got 0"),
+        ("author", {"n": 1}, "'author' must be a string, got {'n': 1}"),
+        ("id", True, "'id' must be a string or an integer, got True"),
+        ("created_utc", True, "'created_utc' must be a number or an integer string, got True"),
+    ], ids=["body", "community", "falsy-community", "author", "id", "created"])
+    def test_ill_typed_field_is_one_malformed_record(self, tmp_path, field, value, reason):
+        # A field of the wrong kind is refused, not coerced with str() or
+        # int() nor passed over for the next community key, and before the
+        # community filter, so the skip count does not depend on the filter.
+        good = {"id": "1", "body": "ok", "subreddit": "s", "community": "s", "author": "u",
+                "created_utc": 5}
+        p = tmp_path / "c.jsonl"
+        self._write(p, [json.dumps(r) for r in (good, {**good, "id": "2", field: value},
+                                                {**good, "id": "3"})])
+        for communities in (None, {"s"}, {"other"}):
+            skipped_lines = []
+            kept = list(corpus.iter_jsonl(str(p), communities, on_skip=skipped_lines.append))
+            assert [c.id for c in kept] == ([] if communities == {"other"} else ["1", "3"])
+            assert skipped_lines == [2]
+        with pytest.raises(ValueError, match=re.escape(
+                f"{p}:2: malformed record: record field {reason}")):
+            list(corpus.iter_jsonl(str(p), strict=True))
+
     def test_truncated_gzip_keeps_complete_lines(self, tmp_path):
         rows = [json.dumps({"id": str(i), "body": f"body {i} " * 8, "subreddit": "s"})
                 for i in range(2000)]
@@ -373,6 +399,26 @@ class TestBuildBalanced:
         a, _ = corpus.build_balanced(_slice(30), _slice(80), seed=4)
         b, _ = corpus.build_balanced(_slice(30), _slice(80), seed=4)
         assert a == b
+
+    def test_sides_may_be_one_shot_iterators(self):
+        pos = [_comment(f"p{i}", body=f"alpha{i} beta") for i in range(12)]
+        pos.append(_comment("d", body="[deleted]"))
+        neg = [_comment(f"n{i}", body=f"gamma{i} delta") for i in range(30)]
+        neg.append(_comment("e", body="the 123"))
+        for seed in (0, 5):
+            assert corpus.build_balanced(iter(pos), iter(neg), seed=seed) == (
+                corpus.build_balanced(CorpusSlice(pos), CorpusSlice(neg), seed=seed))
+
+
+class TestTokenize:
+    def test_reads_any_iterable_once_into_rows(self):
+        comments = [_comment(1, body="Cats and DOGS"), _comment(2, body="[removed]"),
+                     _comment(3, body="the 123"), _comment(4, body="dogs", community="d")]
+        rows, dropped = corpus.tokenize(c for c in comments)
+        assert (rows, dropped) == corpus.tokenize(comments)
+        assert rows == [("1", "c", ["cats", "dogs"]), ("4", "d", ["dogs"])]
+        assert dropped == 2
+        assert not any(isinstance(field, Comment) for row in rows for field in row)
 
 
 class TestImbalanced:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -544,6 +545,19 @@ class TestClaimPipelines:
         assert run["community"]["precision"] > 0.8
         again = evaluation.community_vs_keyword_gap(seed=0, n_docs_per_side=600)
         assert run == again
+
+    # Digests of each pipeline's whole output, sort_keys JSON. The metrics
+    # come from integer confusion counts, so a refactor that changes which
+    # documents either pipeline reads or how it reads them moves them.
+    @pytest.mark.parametrize("run,digest", [
+        (lambda: evaluation.community_vs_keyword_gap(seed=0, n_docs_per_side=600),
+         "246c27c8834a70923e4b357765d0cbf99c6079f64356c4d8dce1d1bc9c6a3502"),
+        (lambda: evaluation.overlap_curve(seed=0, n_docs=200),
+         "bc5334e4ad361be45285a0b6eb862d555c6f0e5c7161ce74e01ac3cfc598493e"),
+    ], ids=["gap", "overlap-curve"])
+    def test_pipeline_output_is_pinned(self, run, digest):
+        out = json.dumps(run(), sort_keys=True).encode()
+        assert hashlib.sha256(out).hexdigest() == digest
 
     def test_gap_rejects_tiny_corpora(self):
         with pytest.raises(ValueError, match="too small"):

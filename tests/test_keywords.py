@@ -219,6 +219,11 @@ class TestMatching:
         assert a.provenance == b.provenance
         assert a.provenance != c.provenance
 
+    def test_pool_may_be_a_one_shot_iterator(self):
+        pool, ks = self._pool(10, 10), self._keywords()
+        assert keyword_match_dataset(iter(pool.comments), ks, n_pos=3, n_neg=3, seed=1) == (
+            keyword_match_dataset(pool, ks, n_pos=3, n_neg=3, seed=1))
+
     def test_rejects_non_positive_requests(self):
         with pytest.raises(ValueError, match=">= 1"):
             keyword_match_dataset(self._pool(), self._keywords(), n_pos=0, n_neg=1)
