@@ -9,9 +9,9 @@ Conventions shared by every subcommand:
 * one global --seed, stretched into per-stage seeds by hashing stage names,
   so any stage can be rerun in isolation and reproduce its output;
 * every run drops a manifest.json (resolved parameters, input file hashes,
-  seeds, schema versions) next to its artifacts. A subcommand only computes
-  and returns (params, artifacts); main checks and hashes its inputs before
-  it runs and writes the manifest after.
+  seeds, schema versions) next to its artifacts. A subcommand only computes,
+  takes each output path from _artifact and returns its params; main checks
+  and hashes its inputs before it runs and writes the manifest after.
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ def _inputs(args) -> dict:
             "input_hashes": {p: _sha256_file(p) for p in inputs.values()}}
 
 
-def _write_manifest(out_dir: str, command: str, params: dict, hashed_inputs: dict,
+def _write_manifest(output_dir: str, command: str, params: dict, hashed_inputs: dict,
                     artifacts: list[str]) -> None:
     manifest = {
         "version": 1,
@@ -186,7 +186,7 @@ def _write_manifest(out_dir: str, command: str, params: dict, hashed_inputs: dic
             "report": evaluation.REPORT_SCHEMA_VERSION,
         },
     }
-    atomic.write_json(os.path.join(out_dir, "manifest.json"), manifest, indent=2)
+    atomic.write_json(os.path.join(output_dir, "manifest.json"), manifest, indent=2)
 
 
 def _prep_config(args) -> textprep.PreprocessConfig:
@@ -212,13 +212,17 @@ def _documents(args, path: str, prep) -> list[list[str]]:
     """One corpus side's token lists."""
     rows, _dropped = corpus.tokenize(_comments(args, path), prep)
     if not rows:
-        raise ValueError("corpus is empty after preprocessing")
+        raise ValueError(f"{path}: corpus is empty after preprocessing")
     return [tokens for _id, _community, tokens in rows]
 
 
-def _out_dir(args) -> str:
+def _artifact(args, name: str) -> str:
+    """The path of artifact ``name`` in --output-dir, which it makes, listed
+    for the run's manifest."""
     os.makedirs(args.output_dir, exist_ok=True)
-    return args.output_dir
+    path = os.path.join(args.output_dir, name)
+    args.artifacts.append(path)
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -226,50 +230,46 @@ def _out_dir(args) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_ingest(args) -> tuple[dict, list[str]]:
+def cmd_ingest(args) -> dict:
     platform = corpus.Platform(args.platform)
     communities = set(args.community) if args.community else None
-    out_path = os.path.join(_out_dir(args), args.output)
+    out_path = _artifact(args, args.output)
     skipped = []
     n = corpus.write_jsonl(corpus.iter_jsonl(
         args.input, community_filter=communities, platform=platform,
         strict=args.strict, on_skip=skipped.append,
     ), out_path)
     print(f"ingested {n} comment(s) -> {out_path} ({len(skipped)} malformed skipped)")
-    return ({"platform": platform.value, "communities": sorted(communities or []),
-             "strict": args.strict, "skipped": len(skipped), "kept": n}, [out_path])
+    return {"platform": platform.value, "communities": sorted(communities or []),
+            "strict": args.strict, "skipped": len(skipped), "kept": n}
 
 
-def cmd_preprocess(args) -> tuple[dict, list[str]]:
+def cmd_preprocess(args) -> dict:
     prep = _prep_config(args)
-    out_path = os.path.join(_out_dir(args), args.output)
+    out_path = _artifact(args, args.output)
     rows, dropped = corpus.tokenize(_comments(args, args.input), prep)
     atomic.write_jsonl(out_path, ({"id": cid, "community": community, "tokens": tokens}
                                   for cid, community, tokens in rows))
     print(f"preprocessed {len(rows)} comment(s) -> {out_path} ({dropped} dropped)")
-    return ({"kept": len(rows), "dropped": dropped, "stopwords": len(prep.stopwords)},
-            [out_path])
+    return {"kept": len(rows), "dropped": dropped, "stopwords": len(prep.stopwords)}
 
 
-def cmd_topics(args) -> tuple[dict, list[str]]:
+def cmd_topics(args) -> dict:
     prep = _prep_config(args)
     llda_cfg = dataclasses.replace(args.llda_config, seed=derive_seed(args.seed, "topics"))
     pos_docs = _documents(args, args.pos, prep)
     neg_docs = _documents(args, args.neg, prep)
     model = topics.fit_two_sides(pos_docs, neg_docs, llda_cfg)
     report = topics.topic_report(model, args.k, ranking=args.ranking)
-    out_dir = _out_dir(args)
-    json_path = os.path.join(out_dir, "topics.json")
-    txt_path = os.path.join(out_dir, "topics.txt")
-    atomic.write_json(json_path, report, indent=2)
+    atomic.write_json(_artifact(args, "topics.json"), report, indent=2)
     table = topics.format_topic_table(report)
-    atomic.write_text(txt_path, table)
+    atomic.write_text(_artifact(args, "topics.txt"), table)
     print(table, end="")
-    return ({"k": args.k, "ranking": args.ranking, "seed": args.seed,
-             "llda": {"beta": llda_cfg.beta}}, [json_path, txt_path])
+    return {"k": args.k, "ranking": args.ranking, "seed": args.seed,
+            "llda": {"beta": llda_cfg.beta}}
 
 
-def cmd_keywords(args) -> tuple[dict, list[str]]:
+def cmd_keywords(args) -> dict:
     prep = _prep_config(args)
     method = keywords.KeywordMethod(args.method)
     llda_cfg = dataclasses.replace(args.llda_config, seed=derive_seed(args.seed, "keywords"))
@@ -278,14 +278,12 @@ def cmd_keywords(args) -> tuple[dict, list[str]]:
         k=args.keyword_k, target_group=args.target_group, min_df=args.keyword_min_df,
         llda_config=llda_cfg,
     )
-    out_dir = _out_dir(args)
-    json_path = os.path.join(out_dir, "keywords.json")
-    txt_path = os.path.join(out_dir, "keywords.txt")
+    json_path = _artifact(args, "keywords.json")
     keywords.save_keyword_set(ks, json_path)
-    atomic.write_text(txt_path, keywords.format_keyword_list(ks))
+    atomic.write_text(_artifact(args, "keywords.txt"), keywords.format_keyword_list(ks))
     print(f"{ks.k} keyword(s) [{method.value}] -> {json_path}")
-    return ({"method": method.value, "k": args.keyword_k, "min_df": args.keyword_min_df,
-             "target_group": args.target_group, "seed": args.seed}, [json_path, txt_path])
+    return {"method": method.value, "k": args.keyword_k, "min_df": args.keyword_min_df,
+            "target_group": args.target_group, "seed": args.seed}
 
 
 def _assemble_dataset(args, seed: int):
@@ -297,7 +295,7 @@ def _assemble_dataset(args, seed: int):
                                  seed=seed, config=prep)
 
 
-def cmd_train(args) -> tuple[dict, list[str]]:
+def cmd_train(args) -> dict:
     ds, dropped = _assemble_dataset(args, derive_seed(args.seed, "train", "dataset"))
     train_cfg = dataclasses.replace(args.train_config, algorithm=args.algorithm,
                                     seed=derive_seed(args.seed, "train", "fit"))
@@ -305,28 +303,22 @@ def cmd_train(args) -> tuple[dict, list[str]]:
     vec = vectorizer.fit_tfidf(counts, min_df=args.min_df)
     model = classifiers.train(evaluation.vectors_for(train_cfg.algorithm, vec, counts),
                               ds.labels, train_cfg)
-    out_dir = _out_dir(args)
-    artifacts = []
     if dropped is not None:
-        ds_path = os.path.join(out_dir, "dataset.jsonl")
-        corpus.write_dataset(ds, ds_path)
-        artifacts.append(ds_path)
-    vec_path = os.path.join(out_dir, "vectorizer.json")
-    model_path = os.path.join(out_dir, "model.json")
-    vectorizer.save_tfidf(vec, vec_path)
+        corpus.write_dataset(ds, _artifact(args, "dataset.jsonl"))
+    vectorizer.save_tfidf(vec, _artifact(args, "vectorizer.json"))
+    model_path = _artifact(args, "model.json")
     classifiers.save_model(model, model_path, vectorizer.model_fingerprint(vec))
     n_pos, n_neg = ds.counts()
     print(f"trained {train_cfg.algorithm.value} on {len(ds)} docs "
           f"({n_pos} pos / {n_neg} neg, vocab {vec.dim}) -> {model_path}")
-    return ({"algorithm": train_cfg.algorithm.value, "min_df": args.min_df, "seed": args.seed,
-             "epochs": train_cfg.epochs, "l2_lambda": train_cfg.l2_lambda,
-             "learning_rate": train_cfg.learning_rate, "nb_alpha": train_cfg.nb_alpha,
-             "n_docs": len(ds), "dropped": dropped,
-             "dataset_fingerprint": corpus.dataset_fingerprint(ds)},
-            artifacts + [vec_path, model_path])
+    return {"algorithm": train_cfg.algorithm.value, "min_df": args.min_df, "seed": args.seed,
+            "epochs": train_cfg.epochs, "l2_lambda": train_cfg.l2_lambda,
+            "learning_rate": train_cfg.learning_rate, "nb_alpha": train_cfg.nb_alpha,
+            "n_docs": len(ds), "dropped": dropped,
+            "dataset_fingerprint": corpus.dataset_fingerprint(ds)}
 
 
-def cmd_evaluate(args) -> tuple[dict, list[str]]:
+def cmd_evaluate(args) -> dict:
     vec = vectorizer.load_tfidf(args.vectorizer)
     model, recorded_hash = classifiers.load_model(args.model)
     actual = vectorizer.model_fingerprint(vec)
@@ -344,7 +336,6 @@ def cmd_evaluate(args) -> tuple[dict, list[str]]:
     kind = model.algorithm
     predicted = model.predict_all(evaluation.vectors_for(kind, vec, ds.documents))
     metrics = evaluation.compute_metrics(predicted, ds.labels)
-    out_path = os.path.join(_out_dir(args), "evaluation.json")
     payload = {
         "version": evaluation.REPORT_SCHEMA_VERSION,
         "algorithm": kind.value,
@@ -352,13 +343,13 @@ def cmd_evaluate(args) -> tuple[dict, list[str]]:
         "dataset_fingerprint": corpus.dataset_fingerprint(ds),
         "vectorizer_fingerprint": actual,
     }
-    atomic.write_json(out_path, payload, indent=2)
+    atomic.write_json(_artifact(args, "evaluation.json"), payload, indent=2)
     print(f"{kind.value}: acc {metrics.accuracy:.2f} prec {metrics.precision:.2f} "
           f"rec {metrics.recall:.2f} f1 {metrics.f1:.2f} kappa {metrics.kappa:.2f}")
-    return {"algorithm": kind.value, "seed": args.seed, "n_docs": len(ds)}, [out_path]
+    return {"algorithm": kind.value, "seed": args.seed, "n_docs": len(ds)}
 
 
-def cmd_experiment(args) -> tuple[dict, list[str]]:
+def cmd_experiment(args) -> dict:
     if not args.experiments:
         raise UsageError(
             "no experiments defined; put an 'experiments' list in the config file"
@@ -372,21 +363,17 @@ def cmd_experiment(args) -> tuple[dict, list[str]]:
         except (ValueError, OSError) as exc:
             raise ValueError(f"experiment {spec.name!r}: {exc}") from None
     # Every spec runs before any report is written, so a failure leaves none.
-    out_dir = _out_dir(args)
-    artifacts = []
     for spec, report in zip(args.experiments, reports):
-        stem = os.path.join(out_dir, spec.name)
-        evaluation.save_report(report, stem + ".json")
+        evaluation.save_report(report, _artifact(args, spec.name + ".json"))
         table = evaluation.format_metrics_table(report)
-        atomic.write_text(stem + ".txt", table)
-        atomic.write_text(stem + ".csv", evaluation.report_to_csv(report))
-        artifacts += [stem + ".json", stem + ".txt", stem + ".csv"]
+        atomic.write_text(_artifact(args, spec.name + ".txt"), table)
+        atomic.write_text(_artifact(args, spec.name + ".csv"), evaluation.report_to_csv(report))
         print(f"# {spec.name}")
         print(table, end="")
-    return {"experiments": [s.name for s in args.experiments], "min_df": args.min_df}, artifacts
+    return {"experiments": [s.name for s in args.experiments], "min_df": args.min_df}
 
 
-def cmd_synth(args) -> tuple[dict, list[str]]:
+def cmd_synth(args) -> dict:
     try:
         spec = synthgen.SynthSpec(
             n_docs=args.n, vocab_core=args.vocab_core, vocab_shared=args.vocab_shared,
@@ -396,22 +383,16 @@ def cmd_synth(args) -> tuple[dict, list[str]]:
     except ValueError as exc:
         raise UsageError(f"invalid synth parameters: {exc}") from None
     pos, neg, gt = synthgen.generate(spec)
-    out_dir = _out_dir(args)
-    pos_path = os.path.join(out_dir, "pos.jsonl")
-    neg_path = os.path.join(out_dir, "neg.jsonl")
-    gt_path = os.path.join(out_dir, "ground_truth.json")
-    ds_path = os.path.join(out_dir, "dataset.jsonl")
-    corpus.write_jsonl(pos, pos_path)
-    corpus.write_jsonl(neg, neg_path)
-    synthgen.write_ground_truth(gt, gt_path)
+    corpus.write_jsonl(pos, _artifact(args, "pos.jsonl"))
+    corpus.write_jsonl(neg, _artifact(args, "neg.jsonl"))
+    synthgen.write_ground_truth(gt, _artifact(args, "ground_truth.json"))
     ds, _ = corpus.build_balanced(pos, neg, seed=derive_seed(args.seed, "synth", "dataset"))
-    corpus.write_dataset(ds, ds_path)
-    print(f"generated {len(pos)}+{len(neg)} comments -> {out_dir}")
-    return ({"n": args.n, "overlap": args.overlap, "vocab_core": args.vocab_core,
-             "vocab_shared": args.vocab_shared, "doc_len": [args.doc_len_min, args.doc_len_max],
-             "zipf": args.zipf, "seed": args.seed,
-             "dataset_fingerprint": corpus.dataset_fingerprint(ds)},
-            [pos_path, neg_path, gt_path, ds_path])
+    corpus.write_dataset(ds, _artifact(args, "dataset.jsonl"))
+    print(f"generated {len(pos)}+{len(neg)} comments -> {args.output_dir}")
+    return {"n": args.n, "overlap": args.overlap, "vocab_core": args.vocab_core,
+            "vocab_shared": args.vocab_shared, "doc_len": [args.doc_len_min, args.doc_len_max],
+            "zipf": args.zipf, "seed": args.seed,
+            "dataset_fingerprint": corpus.dataset_fingerprint(ds)}
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +517,9 @@ def main(argv=None) -> int:
     try:
         _resolve(args, load_run_config(args.config) if args.config else {})
         inputs = _inputs(args)
-        params, artifacts = args.func(args)
-        _write_manifest(args.output_dir, args.command, params, inputs, artifacts)
+        args.artifacts = []
+        params = args.func(args)
+        _write_manifest(args.output_dir, args.command, params, inputs, args.artifacts)
     except UsageError as exc:
         print(f"commhate: error: {exc}", file=sys.stderr)
         return 1

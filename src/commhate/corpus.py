@@ -152,7 +152,7 @@ def comment_from_record(obj: dict, platform: Platform,
             except OverflowError:  # 1e400 parses as inf
                 raise ValueError(f"record field {key!r} is out of range") from None
             break
-    body, cid, author = obj.get("body"), obj.get("id") or "", obj.get("author")
+    body, cid, author = obj.get("body"), obj.get("id", ""), obj.get("author")
     if body is None:
         raise ValueError("record has no body field")
     if not isinstance(body, str):
@@ -290,8 +290,9 @@ def build_balanced(
     """
     pos, dropped_p = tokenize(positive, config)
     neg, dropped_n = tokenize(negative, config)
-    if not pos or not neg:
-        raise ValueError("both slices must be non-empty after preprocessing")
+    for side, rows in (("positive", pos), ("negative", neg)):
+        if not rows:
+            raise ValueError(f"the {side} side must be non-empty after preprocessing")
     pos, neg = balanced_pair(pos, neg, random.Random(seed))
     return dataset_from_pairs(pos, neg), dropped_p + dropped_n
 

@@ -128,8 +128,6 @@ def build_keyword_set(
     method = KeywordMethod(method)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not hate_docs or not contrast_docs:
-        raise ValueError("both corpora must be non-empty")
     if method is KeywordMethod.LLDA:
         model = fit_two_sides(hate_docs, contrast_docs, llda_config or LldaConfig())
         terms = top_terms(model, "community", k)

@@ -115,19 +115,37 @@ def test_write_jsonl_counts_rows_and_replaces(tmp_path):
 
 def test_successful_runs_leave_only_manifest_artifacts(tmp_path, capsys):
     synth, model, scored = tmp_path / "synth", tmp_path / "model", tmp_path / "eval"
+    pos, neg, dataset = synth / "pos.jsonl", synth / "neg.jsonl", synth / "dataset.jsonl"
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"experiments": [
+        {"name": "cv", "train_source": str(dataset), "test_source": "cv:2"},
+        {"name": "held", "train_source": str(dataset), "test_source": str(dataset),
+         "kinds": ["nb"]}]}), encoding="utf-8")
     runs = [
         (synth, ["synth", "--n", "30", "--vocab-core", "4", "--vocab-shared", "4"]),
-        (model, ["train", "--pos", str(synth / "pos.jsonl"), "--neg", str(synth / "neg.jsonl"),
+        (tmp_path / "ingest", ["ingest", "--input", str(pos), "--platform", "other"]),
+        (tmp_path / "prep", ["preprocess", "--input", str(pos), "--platform", "other"]),
+        (tmp_path / "topics", ["topics", "--pos", str(pos), "--neg", str(neg), "--k", "2",
+                               "--platform", "other"]),
+        (tmp_path / "keywords", ["keywords", "--method", "chi2_i", "--hate", str(pos),
+                                 "--contrast", str(neg), "--k", "2", "--min-df", "1",
+                                 "--platform", "other"]),
+        (model, ["train", "--pos", str(pos), "--neg", str(neg),
                  "--platform", "other", "--min-df", "1"]),
+        (tmp_path / "refit", ["train", "--dataset", str(dataset), "--min-df", "1"]),
         (scored, ["evaluate", "--model", str(model / "model.json"),
                   "--vectorizer", str(model / "vectorizer.json"),
-                  "--dataset", str(synth / "dataset.jsonl")]),
+                  "--dataset", str(dataset)]),
+        (tmp_path / "exp", ["experiment", "--config", str(config), "--min-df", "1"]),
     ]
     for out_dir, argv in runs:
         assert cli.main(argv + ["--output-dir", str(out_dir)]) == 0
         manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
         listed = {os.path.basename(p) for p in manifest["artifacts"]}
         assert sorted(os.listdir(out_dir)) == sorted(listed | {"manifest.json"})
+    assert sorted(os.listdir(tmp_path / "refit")) == ["manifest.json", "model.json",
+                                                      "vectorizer.json"]
+    assert len(os.listdir(tmp_path / "exp")) == 7
 
 
 def test_in_place_ingest_keeps_every_line(tmp_path, capsys):

@@ -569,11 +569,11 @@ class TestCorpusSides:
 
     @pytest.mark.parametrize("argv,message", [
         (["topics", "--pos", "{pos}", "--neg", "{gone}"],
-         "corpus is empty after preprocessing"),
+         "{gone}: corpus is empty after preprocessing"),
         (["keywords", "--method", "chi2_i", "--hate", "{gone}", "--contrast", "{pos}"],
-         "corpus is empty after preprocessing"),
+         "{gone}: corpus is empty after preprocessing"),
         (["train", "--pos", "{pos}", "--neg", "{gone}"],
-         "both slices must be non-empty after preprocessing"),
+         "the negative side must be non-empty after preprocessing"),
     ], ids=["topics", "keywords", "train"])
     def test_all_deleted_side_is_data_error(self, corpora, tmp_path, capsys, argv,
                                             message):
@@ -582,7 +582,7 @@ class TestCorpusSides:
         _write_jsonl(gone, _reddit_rows("gone", ["[deleted]", "[removed]"] * 3, "g"))
         argv = [a.format(pos=pos, gone=gone) for a in argv]
         assert _run(argv + ["--output-dir", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == f"commhate: data error: {message}\n"
+        assert capsys.readouterr().err == f"commhate: data error: {message.format(gone=gone)}\n"
 
     @pytest.mark.parametrize("command", ["topics", "train"])
     def test_malformed_lines_are_noted_once(self, corpora, tmp_path, capsys, command):

@@ -204,8 +204,9 @@ class TestJsonlIO:
         ("subreddit", 0, "'subreddit' must be a string, got 0"),
         ("author", {"n": 1}, "'author' must be a string, got {'n': 1}"),
         ("id", True, "'id' must be a string or an integer, got True"),
+        ("id", False, "'id' must be a string or an integer, got False"),
         ("created_utc", True, "'created_utc' must be a number or an integer string, got True"),
-    ], ids=["body", "community", "falsy-community", "author", "id", "created"])
+    ], ids=["body", "community", "falsy-community", "author", "id", "falsy-id", "created"])
     def test_ill_typed_field_is_one_malformed_record(self, tmp_path, field, value, reason):
         # A field of the wrong kind is refused, not coerced with str() or
         # int() nor passed over for the next community key, and before the
@@ -223,6 +224,15 @@ class TestJsonlIO:
         with pytest.raises(ValueError, match=re.escape(
                 f"{p}:2: malformed record: record field {reason}")):
             list(corpus.iter_jsonl(str(p), strict=True))
+
+    def test_integer_ids_are_kept_as_strings(self, tmp_path):
+        # 0 is an integer id like any other, not a missing one.
+        p = tmp_path / "c.jsonl"
+        self._write(p, [json.dumps({"id": i, "body": "x", "community": "c"}) for i in (0, 7)])
+        skipped_lines = []
+        kept = list(corpus.iter_jsonl(str(p), on_skip=skipped_lines.append))
+        assert [c.id for c in kept] == ["0", "7"]
+        assert skipped_lines == []
 
     def test_truncated_gzip_keeps_complete_lines(self, tmp_path):
         rows = [json.dumps({"id": str(i), "body": f"body {i} " * 8, "subreddit": "s"})
