@@ -70,7 +70,7 @@ def write_json(path: str, obj, indent: int | None = None) -> None:
 
 
 def write_jsonl(path: str, rows: Iterable[dict]) -> int:
-    """One compact JSON object per line, streamed; returns the row count."""
+    """One JSON object per line, ``, ``/``: `` separators, non-ASCII kept; returns the count."""
     encode = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
     n = 0
     with writing(path) as fh:

@@ -361,12 +361,14 @@ def kfold_split(
 
 
 def write_dataset(dataset: LabeledDataset, path: str) -> None:
-    """Persist a dataset as JSONL rows {tokens, label, id, community}."""
-    atomic.write_jsonl(path, (
-        {"tokens": list(tokens), "label": label, "id": cid, "community": community}
-        for tokens, label, (cid, community) in zip(
-            dataset.documents, dataset.labels, dataset.provenance)
-    ))
+    """Persist a dataset as JSONL rows {tokens, label, id, community}, one write per
+    row; a token, label, id or community that is not a ``str`` raises TypeError."""
+    quote = json.encoder.encode_basestring  # json's own for a str, given ensure_ascii=False
+    with atomic.writing(path) as fh:
+        for tokens, label, (cid, community) in zip(dataset.documents, dataset.labels,
+                                                   dataset.provenance):
+            fh.write(f'{{"tokens": [{", ".join(map(quote, tokens))}], "label": {quote(label)}, '
+                     f'"id": {quote(cid)}, "community": {quote(community)}}}\n')
 
 
 _ROW_FIELDS = (("tokens", atomic.STRINGS), ("label", atomic.STRING), ("id", atomic.STRING),
@@ -386,14 +388,11 @@ def load_dataset(path: str) -> LabeledDataset:
 
 
 def dataset_fingerprint(dataset: LabeledDataset) -> str:
-    """SHA-256 over the canonical row serialization; stable across runs."""
-    h = hashlib.sha256()
-    for tokens, label, (cid, community) in zip(
-        dataset.documents, dataset.labels, dataset.provenance
-    ):
-        row = json.dumps(
-            [list(tokens), label, cid, community], ensure_ascii=False, separators=(",", ":")
-        )
-        h.update(row.encode("utf-8"))
-        h.update(b"\n")
+    """SHA-256 of one compact [tokens,label,id,community] JSON line per row, non-ASCII
+    kept; a token, label, id or community that is not a ``str`` raises TypeError."""
+    quote, h = json.encoder.encode_basestring, hashlib.sha256()
+    for tokens, label, (cid, community) in zip(dataset.documents, dataset.labels,
+                                               dataset.provenance):
+        h.update(f'[[{",".join(map(quote, tokens))}],{quote(label)},{quote(cid)},'
+                 f'{quote(community)}]\n'.encode())
     return h.hexdigest()

@@ -25,21 +25,12 @@ POS_COMMUNITY = "synthhate"
 NEG_COMMUNITY = "synthsupport"
 
 
-def _alpha_suffix(i: int, width: int) -> str:
-    """Base-26 alphabetic rendering of i, zero-padded with 'a' to width."""
-    digits = []
-    while i:
-        i, r = divmod(i, 26)
-        digits.append(chr(ord("a") + r))
-    s = "".join(reversed(digits)) or "a"
-    return "a" * (width - len(s)) + s
-
-
 def _term_block(prefix: str, count: int) -> tuple[str, ...]:
     width = 1
     while 26**width < count:
         width += 1
-    return tuple(prefix + _alpha_suffix(i, width) for i in range(count))
+    suffixes = itertools.product("abcdefghijklmnopqrstuvwxyz", repeat=width)
+    return tuple(prefix + "".join(s) for s in itertools.islice(suffixes, count))
 
 
 @dataclass(frozen=True)
@@ -67,7 +58,7 @@ def _sampler(block: tuple[str, ...], zipf: bool):
 
     With zipf, P(rank r) is proportional to 1/(r+1): inverse-CDF by bisecting
     the left-to-right cumulative weights. A draw at or past the last partial
-    sum takes the last term.
+    sum takes the last term, which ``ends`` also holds at index n.
     """
     n = len(block)
     if not zipf:
@@ -75,8 +66,8 @@ def _sampler(block: tuple[str, ...], zipf: bool):
     weights = [1.0 / (r + 1) for r in range(n)]
     total = sum(weights)  # not cum[-1]: sum() is compensated on 3.12+
     cum = list(itertools.accumulate(weights))
-    last = n - 1
-    return lambda rng: block[min(bisect.bisect_right(cum, rng.random() * total), last)]
+    ends, bisect_right = block + block[-1:], bisect.bisect_right
+    return lambda rng: ends[bisect_right(cum, rng.random() * total)]
 
 
 def generate(spec: SynthSpec) -> tuple[CorpusSlice, CorpusSlice, dict]:
@@ -96,23 +87,15 @@ def generate(spec: SynthSpec) -> tuple[CorpusSlice, CorpusSlice, dict]:
     ):
         rng = random.Random(derive_seed(spec.seed, "synthgen", side_name))
         draw_core = _sampler(core, spec.zipf)
+        uniform, overlap = rng.random, spec.overlap_weight
         comments = []
         for i in range(spec.n_docs):
             length = rng.randint(spec.doc_len_min, spec.doc_len_max)
-            tokens = []
-            for _ in range(length):
-                draw = draw_shared if rng.random() < spec.overlap_weight else draw_core
-                tokens.append(draw(rng))
-            comments.append(
-                Comment(
-                    id=f"{side_name}{i:06d}",
-                    body=" ".join(tokens),
-                    community=community,
-                    platform=Platform.OTHER,
-                    created_at=i,
-                    author="synthgen",
-                )
-            )
+            tokens = [(draw_shared if uniform() < overlap else draw_core)(rng)
+                      for _ in range(length)]
+            comments.append(Comment(id=f"{side_name}{i:06d}", body=" ".join(tokens),
+                                    community=community, platform=Platform.OTHER,
+                                    created_at=i, author="synthgen"))
         sides.append(tuple(comments))
     ground_truth = {
         "positive_terms": list(pos_terms),

@@ -74,7 +74,8 @@ class CsrBatch:
 @dataclass(frozen=True, eq=False)
 class TermCounts:
     """Raw term counts of a document set: row r of ``batch`` counts document
-    r over ``terms``, the set's distinct terms sorted by code point."""
+    r over ``terms``, sorted by code point: the set's distinct terms, or the
+    terms it was counted over."""
 
     terms: tuple[str, ...]
     batch: CsrBatch
@@ -89,19 +90,25 @@ class TermCounts:
                                                self.batch.data[take], self.batch.dim))
 
 
-def count_terms(documents: Iterable[Sequence[str]]) -> TermCounts:
-    """Count each document's terms, reading the input once."""
+def count_terms(documents: Iterable[Sequence[str]],
+                terms: Sequence[str] | None = None) -> TermCounts:
+    """Count each document's terms, reading the input once, over ``terms`` if
+    given (sorted by code point, other tokens dropped), else the documents' own."""
     docs = list(documents)
-    terms = sorted(set(chain.from_iterable(docs)))
+    terms = sorted(set(chain.from_iterable(docs))) if terms is None else terms
     ids = dict(zip(terms, range(len(terms))))
     # One key per token, row * len(terms) + term id; unique keys come out
-    # sorted, so each row's terms are increasing.
+    # sorted, so each row's terms are increasing. A token outside terms takes
+    # an id that puts its key below 0, so those keys sort first and are cut.
     keys = np.repeat(np.arange(len(docs)) * len(terms), [len(doc) for doc in docs])
-    keys += np.fromiter(map(ids.__getitem__, chain.from_iterable(docs)), dtype=np.intp)
+    keys += np.fromiter(map(ids.get, chain.from_iterable(docs),
+                            repeat(-len(docs) * len(terms) - 1)), dtype=np.intp, count=keys.size)
     keys, counts = np.unique(keys, return_counts=True)
-    row_of, indices = np.divmod(keys, max(len(terms), 1))
+    cut = np.searchsorted(keys, 0)
+    row_of, indices = np.divmod(keys[cut:], max(len(terms), 1))
     indptr = np.concatenate(([0], np.cumsum(np.bincount(row_of, minlength=len(docs)))))
-    return TermCounts(tuple(terms), CsrBatch(indptr, indices, counts.astype(float), len(terms)))
+    return TermCounts(tuple(terms),
+                      CsrBatch(indptr, indices, counts[cut:].astype(float), len(terms)))
 
 
 Documents = Union[TermCounts, Iterable[Sequence[str]]]  # counted or token documents
@@ -139,14 +146,15 @@ class TfidfModel:
     def _counts(self, documents: Documents) -> CsrBatch:
         # Both transforms call this rather than each other, so a wrapper on
         # either public method sees each batch exactly once.
-        counts = documents if isinstance(documents, TermCounts) else count_terms(documents)
+        if not isinstance(documents, TermCounts):
+            return count_terms(documents, self.vocabulary).batch
         lookup = dict(zip(self.vocabulary, range(self.dim)))
         # Both term lists are sorted, so kept columns stay increasing in a row.
-        column = np.fromiter(map(lookup.get, counts.terms, repeat(-1)), dtype=np.intp,
-                             count=len(counts.terms))[counts.batch.indices]
+        column = np.fromiter(map(lookup.get, documents.terms, repeat(-1)), dtype=np.intp,
+                             count=len(documents.terms))[documents.batch.indices]
         kept = column >= 0
-        indptr = np.concatenate(([0], np.cumsum(kept)))[counts.batch.indptr]
-        return CsrBatch(indptr, column[kept], counts.batch.data[kept], self.dim)
+        indptr = np.concatenate(([0], np.cumsum(kept)))[documents.batch.indptr]
+        return CsrBatch(indptr, column[kept], documents.batch.data[kept], self.dim)
 
     def transform_all(self, documents: Documents) -> CsrBatch:
         """L2-normalized tf-idf rows. Documents whose terms are all out of

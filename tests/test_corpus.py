@@ -1,15 +1,17 @@
 import gzip
+import hashlib
 import json
 import os
 import random
 import re
 import tempfile
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commhate import corpus
+from commhate import atomic, corpus
 from commhate.corpus import (
     NEGATIVE,
     POSITIVE,
@@ -518,6 +520,33 @@ class TestKfold:
         assert corpus.kfold_split(ds, 5, seed=2) != corpus.kfold_split(ds, 5, seed=3)
 
 
+# Strings json escapes ('"', '\\', U+0000-U+001F), passes through with
+# ensure_ascii=False (U+007F, U+2028/U+2029, astral), and plain text. Lone
+# surrogates are not UTF-8; a test of their own covers them.
+_ROW_TEXT = st.text(st.one_of(
+    st.sampled_from('"\\\x7f\u2028\u2029é中\U0001f600\U00010000'),
+    st.characters(max_codepoint=0x1F), st.characters(exclude_categories=("Cs",))), max_size=6)
+
+
+def _dumps_write(ds, path):
+    """write_dataset as first written, one json encode per row."""
+    atomic.write_jsonl(path, (
+        {"tokens": list(tokens), "label": label, "id": cid, "community": community}
+        for tokens, label, (cid, community) in zip(ds.documents, ds.labels, ds.provenance)))
+
+
+def _dumps_fingerprint(ds):
+    """dataset_fingerprint as first written, one json.dumps per row."""
+    h = hashlib.sha256()
+    for tokens, label, (cid, community) in zip(ds.documents, ds.labels, ds.provenance):
+        row = json.dumps(
+            [list(tokens), label, cid, community], ensure_ascii=False, separators=(",", ":")
+        )
+        h.update(row.encode("utf-8"))
+        h.update(b"\n")
+    return h.hexdigest()
+
+
 class TestDatasetPersistence:
     def _dataset(self):
         return LabeledDataset(
@@ -572,6 +601,54 @@ class TestDatasetPersistence:
         with pytest.raises(ValueError) as exc:
             corpus.load_dataset(str(p))
         assert str(exc.value).startswith(f"{p}:2: malformed record: {reason}")
+
+    @given(st.lists(st.tuples(st.lists(_ROW_TEXT, max_size=4), st.sampled_from([POSITIVE, NEGATIVE]),
+                              st.tuples(_ROW_TEXT, _ROW_TEXT)), max_size=4))
+    @settings(max_examples=150)
+    def test_row_text_equals_json_dumps(self, rows):
+        ds = LabeledDataset(*zip(*rows)) if rows else LabeledDataset((), (), ())
+        assert corpus.dataset_fingerprint(ds) == _dumps_fingerprint(ds)
+        with tempfile.TemporaryDirectory() as tmp:
+            new, old = os.path.join(tmp, "new.jsonl"), os.path.join(tmp, "old.jsonl")
+            corpus.write_dataset(ds, new)
+            _dumps_write(ds, old)
+            with open(new, encoding="utf-8", newline="") as a, \
+                    open(old, encoding="utf-8", newline="") as b:
+                assert a.read().split("\n") == b.read().split("\n")
+
+    @pytest.mark.parametrize("row", [
+        (("a", "x\ud800y"), POSITIVE, ("1", "c")),
+        (("a",), NEGATIVE, ("\udfff", "c")),
+        (("a",), POSITIVE, ("1", "é\udbff")),
+    ], ids=["token", "id", "community"])
+    def test_lone_surrogate_raises_as_json_dumps_did(self, tmp_path, row):
+        ds = LabeledDataset(*zip(row))
+        errors = []
+        for fingerprint, write in ((corpus.dataset_fingerprint, corpus.write_dataset),
+                                   (_dumps_fingerprint, _dumps_write)):
+            with pytest.raises(UnicodeEncodeError) as hashed:
+                fingerprint(ds)
+            with pytest.raises(UnicodeEncodeError) as written:
+                write(ds, str(tmp_path / "ds.jsonl"))
+            errors.append((str(hashed.value), str(written.value)))
+        assert errors[0] == errors[1]
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("documents,labels,provenance", [
+        ((("a", 1),), (POSITIVE,), (("1", "c"),)),
+        ((("a",),), (1,), (("1", "c"),)),
+        ((("a",),), (POSITIVE,), ((1, "c"),)),
+        ((("a",),), (POSITIVE,), (("1", None),)),
+    ], ids=["token", "label", "id", "community"])
+    def test_non_string_field_raises_type_error(self, tmp_path, documents, labels, provenance):
+        # LabeledDataset refuses a label outside POSITIVE/NEGATIVE, so a
+        # stand-in with the same three fields carries the int label.
+        ds = types.SimpleNamespace(documents=documents, labels=labels, provenance=provenance)
+        with pytest.raises(TypeError):
+            corpus.dataset_fingerprint(ds)
+        with pytest.raises(TypeError):
+            corpus.write_dataset(ds, str(tmp_path / "ds.jsonl"))
+        assert os.listdir(tmp_path) == []
 
     def test_fingerprint_stable_and_sensitive(self):
         ds = self._dataset()

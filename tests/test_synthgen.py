@@ -13,6 +13,7 @@ from commhate.synthgen import (
     POS_COMMUNITY,
     SynthSpec,
     _sampler,
+    _term_block,
     generate,
     write_ground_truth,
 )
@@ -164,6 +165,25 @@ class _FixedRandom:
 
     def random(self):
         return next(self._values)
+
+
+def _alpha_suffix(i: int, width: int) -> str:
+    """Base-26 alphabetic rendering of i, zero-padded with 'a' to width: the
+    suffix rule term blocks were first built with."""
+    digits = []
+    while i:
+        i, r = divmod(i, 26)
+        digits.append(chr(ord("a") + r))
+    s = "".join(reversed(digits)) or "a"
+    return "a" * (width - len(s)) + s
+
+
+class TestTermBlock:
+    @pytest.mark.parametrize("count,width", [(1, 1), (26, 1), (27, 2), (676, 2), (677, 3),
+                                             (2000, 3)])
+    def test_suffixes_equal_base26_rendering(self, count, width):
+        assert _term_block("hat", count) == tuple(
+            "hat" + _alpha_suffix(i, width) for i in range(count))
 
 
 class TestSamplerMatchesOracle:

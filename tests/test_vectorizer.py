@@ -123,6 +123,20 @@ class TestCountTerms:
         for transform in (model.transform_all, model.transform_counts_all):
             assert _raw(transform(rows)) == _raw(transform(picked))
 
+    @given(st.lists(st.lists(st.sampled_from(["B", "a", "b", "é", "ab", "Ab", "z", "q", "ü"]),
+                             max_size=8), max_size=12),
+           st.sets(st.sampled_from(["B", "a", "é", "ab", "z", "zz"])))
+    @settings(max_examples=100)
+    def test_counts_over_vocabulary_equal_column_map(self, docs, vocab):
+        # Tokens outside vocab ("b", "Ab", "q", "ü"), vocab terms no document
+        # holds ("zz"), empty documents and repeated tokens.
+        terms = tuple(sorted(vocab))
+        model = TfidfModel(terms, (1,) * len(terms), n_docs=1, min_df=1)
+        over_vocab = count_terms(docs, terms)
+        assert over_vocab.terms == terms
+        assert _raw(over_vocab.batch) == _raw(model.transform_counts_all(count_terms(docs)))
+        assert _raw(model.transform_all(docs)) == _raw(model.transform_all(count_terms(docs)))
+
     def test_out_of_vocabulary_rows_are_empty(self):
         model = fit_tfidf([["cat", "dog"]], min_df=1)
         batch = model.transform_all(count_terms([["zebra"], [], ["dog", "emu"]]))
