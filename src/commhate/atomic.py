@@ -20,11 +20,13 @@ from __future__ import annotations
 import contextlib
 import gzip
 import io
+import itertools
 import json
 import math
 import os
+import warnings
 import zlib
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, TextIO
 
 
 @contextlib.contextmanager
@@ -100,6 +102,73 @@ def read_json(path: str):
             raise ValueError(f"{path}: not valid JSON: {exc}") from None
 
 
+def cpus() -> int:
+    """The CPUs this process may run on; 1 if it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def fork(send: Callable[[BinaryIO], object]) -> tuple[int, BinaryIO]:
+    """Fork a child that calls ``send`` on a pipe's write end, then leaves by
+    ``os._exit`` (0 if ``send`` returned, else 1); its pid and the read end."""
+    r, w = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12+ warns that forking a process with threads (numpy's BLAS pool) may deadlock
+        # the child. Not these children: they call no BLAS routine and never return to the caller.
+        warnings.filterwarnings("ignore", r".* is multi-threaded", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(r)  # so a write fails, not blocks, once this process's reader is gone
+            with open(w, "wb") as out:
+                send(out)
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(w)
+    return pid, open(r, "rb", buffering=1 << 16)  # a read takes a whole (Linux) pipeful
+
+
+def _send_lines(path: str, fh, out: BinaryIO) -> None:
+    """Write fh's lines to ``out`` 64 KiB at a time, cut after a newline, so the
+    reader wakes this process once a pipeful, not once a line or 8 KiB. At a fault,
+    finish with the lines that reading ``path`` line by line yields before it, and raise."""
+    sent, tail = 0, b""
+    try:
+        while block := fh.read(1 << 16):
+            block = tail + block
+            cut = block.rfind(b"\n") + 1
+            out.write(block[:cut])
+            sent, tail = sent + block.count(b"\n", 0, cut), block[cut:]
+    except (EOFError, zlib.error, gzip.BadGzipFile):  # a block may lose lines a line read keeps
+        with open_read(path) as again:
+            out.writelines(itertools.islice(again, sent, None))
+        raise
+    out.write(tail)
+
+
+def _gunzipped(path: str, fh) -> Iterator[bytes]:
+    """fh's lines, which a forked child gunzips and writes to a pipe. At a fault
+    (a damaged .gz) the child has written the lines that reading here yields and
+    exits 1; this process then reads ``path`` itself to meet the same fault."""
+    pid, pipe = fork(lambda out: _send_lines(path, fh, out))
+    try:
+        yield from pipe
+    except BaseException:  # closed early, or the pipe failed
+        import signal  # here: a process that reads no .gz never loads it
+        os.kill(pid, signal.SIGKILL)  # a child that forked later may hold the pipe open too
+        raise
+    finally:
+        pipe.close()
+        status = os.waitpid(pid, 0)[1]
+    if status:
+        with open_read(path) as again:
+            for _ in again:
+                pass
+        raise OSError("the gunzip process ended before its stream")
+
+
 def read_jsonl(path: str, parse: Callable, strict: bool = False,
                on_skip: Callable[[int], None] | None = None) -> Iterator:
     """Stream ``parse(value)`` for each line's JSON value, dropping None.
@@ -109,17 +178,27 @@ def read_jsonl(path: str, parse: Callable, strict: bool = False,
     lenient mode passes its 1-based number to ``on_skip`` and reads on,
     strict mode raises naming ``path:line``. A truncated or corrupt .gz ends
     the stream; the lines before the damage are kept and the damage is one
-    malformed line (strict mode names the last complete line).
+    malformed line (strict mode names the last complete line), also when a
+    forked child gunzips (two CPUs; see _gunzipped). json's scanner reads each
+    line at offset 0; json.loads decides a line with no value there, or with
+    more than JSON whitespace after it.
     """
-    with open_read(path) as fh:
-        lineno = 0
+    with open_read(path) as fh, contextlib.closing(
+            _gunzipped(path, fh) if isinstance(fh, gzip.GzipFile) and cpus() > 1 else fh) as lines:
+        lineno, scan = 0, json.JSONDecoder().scan_once  # json.loads's own first step
         try:
-            for lineno, raw in enumerate(fh, 1):
+            for lineno, raw in enumerate(lines, 1):
                 try:
                     line = raw.decode("utf-8")
-                    if not line.strip():
-                        continue
-                    value = parse(json.loads(line))
+                    try:
+                        value, end = scan(line, 0)
+                    except StopIteration:  # blank, leading whitespace or BOM, no value
+                        end = 0
+                    if not end or line[end:].strip(" \t\n\r"):
+                        if not line.strip():
+                            continue
+                        value = json.loads(line)
+                    value = parse(value)
                 except (ValueError, TypeError, LookupError, RecursionError) as exc:
                     if strict:
                         raise ValueError(f"{path}:{lineno}: malformed record: {exc}") from exc

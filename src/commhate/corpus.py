@@ -13,6 +13,7 @@ Fisher-Yates selection, so every draw is a pure function of (input, seed).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import random
@@ -124,11 +125,11 @@ _COMMUNITY_KEYS = ("community", "subreddit", "subverse", "board")
 _CREATED_KEYS = ("created_at", "created_utc")
 
 
-def comment_from_record(obj: dict, platform: Platform,
-                        communities: set[str] | None = None) -> Comment | None:
-    """Map one parsed JSONL record to a Comment. Raises ValueError if malformed.
-    A record outside ``communities`` (if given) is checked the same way but
-    maps to None, with no Comment built."""
+def comment_from_record(platform: Platform, communities: set[str] | None,
+                        obj: dict) -> Comment | None:
+    """Map one parsed JSONL record ``obj`` (last, for ``functools.partial``) to a
+    Comment; ValueError if malformed. A record outside ``communities`` (if not
+    None) is checked the same way but maps to None, with no Comment built."""
     if not isinstance(obj, dict):
         raise ValueError("record is not a JSON object")
     community = ""
@@ -192,9 +193,7 @@ def iter_jsonl(
     ``atomic.read_jsonl`` describes.
     """
     yield from atomic.read_jsonl(
-        path, lambda obj: comment_from_record(obj, platform, community_filter),
-        strict, on_skip,
-    )
+        path, functools.partial(comment_from_record, platform, community_filter), strict, on_skip)
 
 
 def load_jsonl(
@@ -213,13 +212,19 @@ def load_jsonl(
 
 
 def write_jsonl(comments: Iterable[Comment], path: str) -> int:
-    """Write comments in the generic schema (round-trips losslessly), one line
-    each as they arrive; returns the count."""
-    return atomic.write_jsonl(path, (
-        {"id": c.id, "body": c.body, "community": c.community,
-         "platform": c.platform.value, "created_at": c.created_at, "author": c.author}
-        for c in comments
-    ))
+    """Write comments in the generic schema, one line each as they arrive;
+    returns the count. A comment that would not read back equal raises."""
+    quote, n = json.encoder.encode_basestring, 0  # json's own; TypeError for a non-str
+    with atomic.writing(path) as fh:
+        for n, c in enumerate(comments, 1):
+            if type(c.created_at) is not int:  # a bool's type is not int
+                raise TypeError(f"comment {c.id!r}: created_at {c.created_at!r} is not an int")
+            if c.deleted and c.body not in _DELETED_SENTINELS:
+                raise ValueError(f"comment {c.id!r}: a deleted body must be [deleted]/[removed]")
+            fh.write(f'{{"id": {quote(c.id)}, "body": {quote(c.body)}, '
+                     f'"community": {quote(c.community)}, "platform": {quote(c.platform.value)}, '
+                     f'"created_at": {c.created_at}, "author": {quote(c.author)}}}\n')
+    return n
 
 
 # ---------------------------------------------------------------------------

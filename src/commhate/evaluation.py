@@ -18,7 +18,6 @@ import io
 import os
 import pickle
 import time
-import warnings
 from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -209,33 +208,13 @@ def _fork_map(fn, items: list, prepare=lambda item: item) -> list:
     one process per CPU this process may run on. prepare runs here, for a
     child's share just before its fork, so one share at a time is prepared.
     Raises the first failing item's exception, in item order."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    n = max(1, min(cpus if hasattr(os, "fork") else 1, len(items)))
+    n = max(1, min(atomic.cpus(), len(items)))
     children = {}  # pid -> the read end of its pipe
     try:
-        for share in range(1, n):
-            prepared = [prepare(item) for item in items[share::n]]
-            r, w = os.pipe()
-            with warnings.catch_warnings():
-                # Python 3.12+ warns that forking a process with threads (numpy's
-                # BLAS pool) may deadlock the child. Not this child: it calls no
-                # BLAS routine and never returns to the caller's stack.
-                warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded",
-                                        DeprecationWarning)
-                pid = os.fork()
-            if pid == 0:  # the child leaves by os._exit, whatever happens
-                try:
-                    with open(w, "wb") as fh:
-                        fh.write(pickle.dumps(_outcomes(fn, prepared)))
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            del prepared
-            os.close(w)
-            children[pid] = open(r, "rb")
+        for share in range(1, n):  # a share is prepared just before its fork, freed after it
+            pid, fh = atomic.fork(lambda out, mine=[prepare(item) for item in items[share::n]]:
+                                  out.write(pickle.dumps(_outcomes(fn, mine))))
+            children[pid] = fh
         shares = [_outcomes(lambda item: fn(prepare(item)), items[0::n])]
         for pid in list(children):
             data = children[pid].read()
@@ -560,18 +539,17 @@ def community_vs_keyword_gap(
     test_ds, _ = build_balanced(
         pos.comments[pool_hi:], neg.comments[pool_hi:], seed=derive_seed(seed, "gap", "test")
     )
-    community_metrics, _ = train_and_eval(
-        community_train, test_ds, Algorithm.LR, seed=derive_seed(seed, "gap", "train", "community")
-    )
-    baseline_metrics, _ = train_and_eval(
-        baseline_train, test_ds, Algorithm.LR, seed=derive_seed(seed, "gap", "train", "baseline")
-    )
+    test_rows, metrics = count_terms(test_ds.documents), {}  # the test set, counted once
+    for name, train_ds in (("community", community_train), ("baseline", baseline_train)):
+        rows = count_terms(train_ds.documents)
+        metrics[name], _ = train_and_eval(train_ds, test_ds, Algorithm.LR,
+                                          seed=derive_seed(seed, "gap", "train", name),
+                                          fitted=(fit_tfidf(rows), rows, test_rows))
     return {
         "seed": seed,
         "keywords": [t for t, _ in keyword_set.terms],
-        "community": asdict(community_metrics),
-        "baseline": asdict(baseline_metrics),
-        "precision_gap": community_metrics.precision - baseline_metrics.precision,
+        **{name: asdict(m) for name, m in metrics.items()},
+        "precision_gap": metrics["community"].precision - metrics["baseline"].precision,
     }
 
 

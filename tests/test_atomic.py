@@ -1,14 +1,25 @@
 """Artifacts are replaced atomically: a failed write leaves the old file (or
 no file) and no temp file; a new file gets the mode open(path, "w") gives.
-The field kinds that every reader checks with hold at their boundaries."""
+Reading a .gz through a gunzipping child gives what reading it in this
+process gives, and leaves no child behind. The field kinds that every
+reader checks with hold at their boundaries."""
 
 import gzip
 import io
+import itertools
 import json
 import os
+import signal
+import subprocess
+import sys
+import tempfile
 import time
+import warnings
+import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commhate import atomic, cli, corpus, keywords
 
@@ -176,6 +187,290 @@ def test_gz_artifacts_are_byte_reproducible(tmp_path, monkeypatch, capsys):
     # gzip records the name of the uncompressed file: the target's, not a temp file's.
     assert header[10:header.index(b"\0", 10)] == b"kept.jsonl"
     assert len(gzip.decompress(header).splitlines()) == 50
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _read_all(path, strict=False):
+    """(values, skipped line numbers, strict-mode error or None) of ``read_jsonl``
+    with the values kept as they are."""
+    skipped = []
+    try:
+        values = list(atomic.read_jsonl(str(path), lambda v: v, strict, skipped.append))
+    except ValueError as exc:
+        return None, skipped, str(exc)
+    return values, skipped, None
+
+
+def _both_ways(path, monkeypatch):
+    """The lenient and strict outcomes of reading ``path`` in this process (one
+    CPU) and through a gunzipping child (two CPUs), and how often it forked."""
+    forks = []
+    real = atomic.fork
+    monkeypatch.setattr(atomic, "fork", lambda send: forks.append(1) or real(send))
+    outcomes = []
+    for n in (1, 2):
+        _cpus(monkeypatch, n)
+        outcomes.append((_read_all(path), _read_all(path, strict=True)))
+    return outcomes[0], outcomes[1], len(forks)
+
+
+def _dump_lines(n, width=90):
+    return b"".join(json.dumps({"id": str(i), "body": "w" * (i % width + 1),
+                                "community": "c"}).encode() + b"\n" for i in range(n))
+
+
+def _damaged(kind):
+    """A gzip blob damaged one way; the text fills the pipe several times."""
+    text = _dump_lines(3000)
+    blob = bytearray(gzip.compress(text))
+    if kind == "truncated":
+        return bytes(blob[: len(blob) * 2 // 3])
+    if kind == "deflate":  # mid-member, after a full flush, a block of the reserved type 11
+        deflate, text = zlib.compressobj(wbits=-15), _dump_lines(20_000)  # many input buffers
+        body = deflate.compress(text) + deflate.flush(zlib.Z_FULL_FLUSH) + b"\x07"
+        return bytes(blob[:10]) + body + bytes(blob[-8:])
+    if kind in ("crc", "isize"):
+        at = len(blob) - (8 if kind == "crc" else 4)
+        blob[at] ^= 0xFF
+        return bytes(blob)
+    if kind == "not-gzip":
+        return text
+    if kind == "empty":
+        return b""
+    if kind == "multi-member":
+        return bytes(blob) + gzip.compress(b'{"id": "second"}\n[1, 2]\n')
+    if kind == "no-trailing-newline":
+        return gzip.compress(text + b'{"id": "last"}')
+    raise AssertionError(kind)
+
+
+class TestGunzipChild:
+    """With two CPUs a .gz is gunzipped in a forked child; reading it in this
+    process, with one CPU, is the oracle."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("kind", ["truncated", "deflate", "crc", "isize", "not-gzip",
+                                      "empty", "multi-member", "no-trailing-newline"])
+    def test_damaged_gzip_reads_as_in_process(self, tmp_path, monkeypatch, kind):
+        path = tmp_path / "dump.jsonl.gz"
+        path.write_bytes(_damaged(kind))
+        in_process, child, forks = _both_ways(path, monkeypatch)
+        assert child == in_process
+        assert forks == 2  # the lenient and the strict read
+        (values, skipped, _), (_, _, message) = in_process
+        if kind in ("empty", "multi-member", "no-trailing-newline"):
+            assert skipped == [] and message is None
+            assert len(values) == {"empty": 0, "multi-member": 3002}.get(kind, 3001)
+        else:
+            damage = "truncated" if kind == "truncated" else "corrupt"
+            assert skipped == [len(values) + 1]
+            assert message.startswith(f"{path}: compressed stream {damage} "
+                                      f"after line {len(values)}: ")
+
+    @settings(max_examples=40, deadline=None)
+    @given(lines=st.lists(st.binary(max_size=30) | st.sampled_from(
+               [b"", b"{}", b'{"a": [1, 2]}', b"[1", b"\xff"]), max_size=60),
+           size=st.integers(1, 30_000), cut=st.floats(0, 1), flip=st.integers(0, 255))
+    def test_any_damage_reads_as_in_process(self, lines, size, cut, flip):
+        # Wherever the damage lies, the lines kept before it and the fault's
+        # line are those that reading in this process gives.
+        text = b"".join(line + b"\n" for line in lines) + b"x" * (size % 97)
+        text = (text * (size // max(len(text), 1) + 1))[:size]
+        blob = bytearray(gzip.compress(text))
+        at = int(cut * (len(blob) - 1))
+        blob = blob[:at] if flip % 2 else blob[:at] + bytes([blob[at] ^ flip]) + blob[at + 1:]
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            path = os.path.join(tmp, "d.jsonl.gz")
+            with open(path, "wb") as fh:
+                fh.write(bytes(blob))
+            in_process, child, forks = _both_ways(path, mp)
+        assert child == in_process and forks == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def _big(self, tmp_path):
+        path = tmp_path / "big.jsonl.gz"
+        path.write_bytes(gzip.compress(_dump_lines(20_000)))  # ~1.2 MB, many pipefuls
+        return str(path)
+
+    def test_reaped_when_the_consumer_closes_early(self, tmp_path, monkeypatch):
+        _cpus(monkeypatch, 2)
+        it = atomic.read_jsonl(self._big(tmp_path), lambda v: v)
+        assert [v["id"] for v in itertools.islice(it, 5)] == ["0", "1", "2", "3", "4"]
+        it.close()
+
+    def test_reaped_when_the_consumer_raises(self, tmp_path, monkeypatch):
+        class Stop(Exception):
+            pass
+
+        def consume(path):
+            for n, _ in enumerate(corpus.iter_jsonl(path, platform=corpus.Platform.OTHER)):
+                if n == 100:
+                    raise Stop
+
+        _cpus(monkeypatch, 2)
+        with pytest.raises(Stop):
+            consume(self._big(tmp_path))
+
+    def test_reaped_while_a_later_child_holds_the_pipe(self, tmp_path, monkeypatch):
+        # The second reader's child inherited the first one's pipe, so the first
+        # child, blocked on a full pipe, would wait for it forever; it is killed.
+        def hang(signum, frame):
+            raise TimeoutError("closing the first reader hung")
+
+        _cpus(monkeypatch, 2)
+        first, second = (atomic.read_jsonl(self._big(tmp_path), lambda v: v) for _ in "ab")
+        assert next(first) == next(second) == {"id": "0", "body": "w", "community": "c"}
+        old = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(20)
+        try:
+            first.close()
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+            second.close()
+
+    def test_reaped_when_strict_mode_raises(self, tmp_path, monkeypatch):
+        _cpus(monkeypatch, 2)
+        path = tmp_path / "bad.jsonl.gz"
+        path.write_bytes(gzip.compress(_dump_lines(5000) + b"{oops\n" + _dump_lines(5000)))
+        with pytest.raises(ValueError, match=r":5001: malformed record"):
+            list(atomic.read_jsonl(str(path), lambda v: v, strict=True))
+
+    def test_a_child_that_dies_is_an_os_error(self, tmp_path, monkeypatch):
+        # Not a truncated .gz: that would be one skipped line in lenient mode.
+        _cpus(monkeypatch, 2)
+        real = atomic.fork
+        monkeypatch.setattr(atomic, "fork", lambda send: real(lambda out: os._exit(3)))
+        with pytest.raises(OSError, match="^the gunzip process ended before its stream$"):
+            list(atomic.read_jsonl(self._big(tmp_path), lambda v: v))
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
+    def test_child_ends_when_the_reader_is_killed(self, tmp_path):
+        # The child closes its copy of the read end, so once the reading
+        # process is gone its next write fails instead of blocking forever.
+        code = ("import itertools, os, signal\nfrom commhate import atomic\nreal = atomic.fork\n"
+                "def fork(send):\n    pid, fh = real(send)\n    print(pid, flush=True)\n"
+                "    return pid, fh\natomic.fork = fork\n"
+                "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                f"list(itertools.islice(atomic.read_jsonl({self._big(tmp_path)!r}, str), 3))\n"
+                "os.kill(os.getpid(), signal.SIGKILL)\n")
+        src = os.path.dirname(os.path.dirname(atomic.__file__))
+        proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                                env=dict(os.environ, PYTHONPATH=src))
+        child = int(proc.stdout.readline())
+        proc.wait(timeout=60)
+        proc.stdout.close()
+
+        def running():
+            try:
+                with open(f"/proc/{child}/stat") as fh:
+                    return fh.read().rpartition(")")[2].split()[0] not in "ZX"
+            except FileNotFoundError:
+                return False
+
+        deadline = time.monotonic() + 10
+        while running() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if running():
+            os.kill(child, signal.SIGKILL)
+            pytest.fail("the gunzip child outlived the process reading from it")
+
+    def test_one_cpu_and_no_fork_read_in_process(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(atomic, "fork", lambda send: pytest.fail("forked"))
+        path = self._big(tmp_path)
+        _cpus(monkeypatch, 1)
+        assert len(list(atomic.read_jsonl(path, lambda v: v))) == 20_000
+        _cpus(monkeypatch, 2)
+        monkeypatch.delattr(os, "fork")
+        assert len(list(atomic.read_jsonl(path, lambda v: v))) == 20_000
+
+    def test_gunzip_child_warns_nothing(self, tmp_path, monkeypatch):
+        # Python 3.12+ warns when a process with threads forks; see
+        # tests/test_evaluation.py::TestForkMap::test_cross_validate_warns_nothing.
+        _cpus(monkeypatch, 2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert len(list(atomic.read_jsonl(self._big(tmp_path), lambda v: v))) == 20_000
+        assert [str(w.message) for w in caught] == []
+
+
+def _loads_loop(path, strict):
+    """``read_jsonl`` as it was before it scanned lines itself: every non-blank
+    line through ``json.loads``. (values, skipped line numbers, strict error)."""
+    values, skipped = [], []
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
+                value = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                if strict:
+                    return None, skipped, f"{path}:{lineno}: malformed record: {exc}"
+                skipped.append(lineno)
+                continue
+            if value is not None:
+                values.append(value)
+    return values, skipped, None
+
+
+_SPACE = st.sampled_from(["", " ", "\t", "\r", " \t", "\u00a0", "\u2028", "\x0b", "\x0c",
+                          "\u3000", "\ufeff"])
+_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=5,
+)
+
+
+def _line(prefix, value, ascii_only, extra, cut, suffix):
+    text = json.dumps(value, ensure_ascii=ascii_only)
+    return (prefix + text[:cut if cut is not None else len(text)] + extra + suffix).encode()
+
+
+_LINE = st.one_of(
+    st.builds(_line, _SPACE, _VALUE, st.booleans(),
+              st.sampled_from(["", "", "", " 1", "{}", "x", ",", "]"]),
+              st.none() | st.integers(0, 12), _SPACE),
+    st.binary(max_size=10),
+    st.sampled_from([b"", b"\r", b"\xef\xbb\xbf{}", b"\xff{}", b"{\"a\": \"\xc3\"}", b"[" * 5000]),
+)
+
+
+class TestLineScan:
+    """A line is kept as the JSON scanner reads it from offset 0 when only JSON
+    whitespace follows, and goes to ``json.loads`` otherwise; the result is
+    what a ``json.loads`` loop gives, with the C scanner and the Python one."""
+
+    @pytest.mark.parametrize("scanner", ["c", "py"])
+    @settings(max_examples=150, deadline=None)
+    @given(lines=st.lists(_LINE, max_size=12), crlf=st.booleans(), last_newline=st.booleans())
+    def test_equals_a_json_loads_loop(self, scanner, lines, crlf, last_newline):
+        make = json.scanner.c_make_scanner if scanner == "c" else json.scanner.py_make_scanner
+        if make is None:
+            pytest.skip("no C scanner")
+        data = (b"\r\n" if crlf else b"\n").join(lines) + (b"\n" if last_newline else b"")
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            # read_jsonl's decoder scans with it, and so does json.loads, in the
+            # fallback and in the oracle.
+            mp.setattr(json.scanner, "make_scanner", make)
+            mp.setattr(json._default_decoder, "scan_once", make(json._default_decoder))
+            path = os.path.join(tmp, "lines.jsonl")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            for strict in (False, True):
+                assert _read_all(path, strict) == _loads_loop(path, strict)
 
 
 _NAN, _INF = json.loads("NaN"), json.loads("Infinity")  # the literals json.loads accepts

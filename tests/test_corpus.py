@@ -1,3 +1,4 @@
+import dataclasses
 import gzip
 import hashlib
 import json
@@ -50,9 +51,9 @@ class TestComment:
 class TestRecordMapping:
     def test_reddit_fields(self):
         c = corpus.comment_from_record(
+            Platform.REDDIT, None,
             {"id": "abc", "body": "hi", "subreddit": "CoonTown",
              "created_utc": 1438387200, "author": "u1", "score": 5},
-            Platform.REDDIT,
         )
         assert (c.id, c.community, c.created_at, c.author) == (
             "abc", "CoonTown", 1438387200, "u1"
@@ -62,19 +63,19 @@ class TestRecordMapping:
     def test_generic_community_fallbacks(self):
         for key in ("community", "subreddit", "subverse", "board"):
             c = corpus.comment_from_record(
-                {"id": "1", "body": "hi", key: "x"}, Platform.OTHER
+                Platform.OTHER, None, {"id": "1", "body": "hi", key: "x"}
             )
             assert c.community == "x"
 
     def test_missing_body_rejected(self):
         with pytest.raises(ValueError, match="body"):
-            corpus.comment_from_record({"id": "1", "subreddit": "x"}, Platform.REDDIT)
+            corpus.comment_from_record(Platform.REDDIT, None, {"id": "1", "subreddit": "x"})
 
     def test_infinite_timestamp_is_malformed(self):
         with pytest.raises(ValueError, match="'created_utc' is out of range"):
             corpus.comment_from_record(
+                Platform.REDDIT, None,
                 {"id": "1", "body": "hi", "subreddit": "x", "created_utc": float("inf")},
-                Platform.REDDIT,
             )
 
     @pytest.mark.parametrize("record", [
@@ -86,16 +87,16 @@ class TestRecordMapping:
     ], ids=["empty-id", "empty-body", "empty-community", "list-timestamp", "no-body"])
     def test_record_outside_filter_is_checked_like_any_other(self, record):
         with pytest.raises((ValueError, TypeError)) as unfiltered:
-            corpus.comment_from_record(record, Platform.REDDIT)
+            corpus.comment_from_record(Platform.REDDIT, None, record)
         with pytest.raises(type(unfiltered.value), match=re.escape(str(unfiltered.value))):
-            corpus.comment_from_record(record, Platform.REDDIT, {"in"})
+            corpus.comment_from_record(Platform.REDDIT, {"in"}, record)
 
     def test_wellformed_record_outside_filter_maps_to_none(self):
         for body in ("hi", "[deleted]"):
             record = {"id": "1", "body": body, "subreddit": "out"}
-            assert corpus.comment_from_record(record, Platform.REDDIT, {"in"}) is None
-            kept = corpus.comment_from_record(record, Platform.REDDIT, {"out"})
-            assert kept == corpus.comment_from_record(record, Platform.REDDIT)
+            assert corpus.comment_from_record(Platform.REDDIT, {"in"}, record) is None
+            kept = corpus.comment_from_record(Platform.REDDIT, {"out"}, record)
+            assert kept == corpus.comment_from_record(Platform.REDDIT, None, record)
 
 
 class TestJsonlIO:
@@ -331,6 +332,54 @@ def _scan(path, communities=None, strict=False):
         assert strict
         return None, skipped, str(exc)
     return kept, skipped, None
+
+
+def _valid_comment(**fields):
+    """A Comment of these fields, or None where Comment refuses them."""
+    try:
+        return Comment(**fields)
+    except ValueError:
+        return None
+
+
+class TestWriteJsonl:
+    """``write_jsonl`` writes only comments that its own reader reads back equal."""
+
+    @pytest.mark.parametrize("kwargs,error,message", [
+        ({"created_at": True, "author": None}, TypeError,
+         "comment '1': created_at True is not an int"),
+        ({"created_at": 1.5}, TypeError, "comment '1': created_at 1.5 is not an int"),
+        ({"author": None}, TypeError, "first argument must be a string, not NoneType"),
+        ({"deleted": True}, ValueError,
+         "comment '1': a deleted body must be [deleted]/[removed]"),
+    ], ids=["bool-created-null-author", "float-created", "null-author", "deleted-flag"])
+    def test_comment_that_would_not_read_back_raises(self, tmp_path, kwargs, error, message):
+        comments = [_comment(0), Comment(id="1", body="hi there", community="c", **kwargs)]
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            corpus.write_jsonl(comments, str(tmp_path / "c.jsonl"))
+        assert os.listdir(tmp_path) == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(comments=st.lists(st.builds(
+        _valid_comment,
+        id=st.text(max_size=6),
+        body=st.text(max_size=12) | st.sampled_from(["[deleted]", "[removed]"]),
+        community=st.text(max_size=6),
+        created_at=st.integers(-2**70, 2**70) | st.sampled_from([True, 0.5]),
+        author=st.text(max_size=4) | st.none(),
+        deleted=st.booleans(),
+    ).filter(bool), max_size=5), platform=st.sampled_from(list(Platform)), gz=st.booleans())
+    def test_every_comment_written_reads_back_equal(self, comments, platform, gz):
+        comments = [dataclasses.replace(c, platform=platform) for c in comments]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "c.jsonl.gz" if gz else "c.jsonl")
+            try:
+                assert corpus.write_jsonl(comments, path) == len(comments)
+            except (TypeError, ValueError):
+                assert not os.listdir(tmp)
+                return
+            loaded, skipped = corpus.load_jsonl(path, platform=platform)
+        assert (list(loaded), skipped) == (comments, 0)
 
 
 class TestIngestFilterFuzz:
