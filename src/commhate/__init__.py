@@ -17,13 +17,12 @@ from .corpus import (
     LabeledDataset,
     Platform,
     build_balanced,
-    load_jsonl,
 )
 from .evaluation import ExperimentSpec, compute_metrics, cross_validate, run_experiment
 from .keywords import KeywordMethod, KeywordSet, build_keyword_set, chi2_scores
 from .seeding import derive_seed
 from .synthgen import SynthSpec, generate
-from .textprep import PreprocessConfig, preprocess
+from .textprep import preprocess
 from .topics import LldaConfig, LldaModel, fit_llda, fit_two_sides, jaccard_index, top_terms
 from .vectorizer import CsrBatch, TfidfModel, fit_tfidf
 
@@ -39,7 +38,6 @@ __all__ = [
     "LldaConfig",
     "LldaModel",
     "Platform",
-    "PreprocessConfig",
     "SynthSpec",
     "TfidfModel",
     "TrainConfig",
@@ -55,7 +53,6 @@ __all__ = [
     "fit_two_sides",
     "generate",
     "jaccard_index",
-    "load_jsonl",
     "preprocess",
     "run_experiment",
     "top_terms",

@@ -130,31 +130,31 @@ def fork(send: Callable[[BinaryIO], object]) -> tuple[int, BinaryIO]:
     return pid, open(r, "rb", buffering=1 << 16)  # a read takes a whole (Linux) pipeful
 
 
-def _send_lines(path: str, fh, out: BinaryIO) -> None:
+def _send_lines(fh, out: BinaryIO) -> None:
     """Write fh's lines to ``out`` 64 KiB at a time, cut after a newline, so the
-    reader wakes this process once a pipeful, not once a line or 8 KiB. At a fault,
-    finish with the lines that reading ``path`` line by line yields before it, and raise."""
-    sent, tail = 0, b""
-    try:
-        while block := fh.read(1 << 16):
-            block = tail + block
-            cut = block.rfind(b"\n") + 1
-            out.write(block[:cut])
-            sent, tail = sent + block.count(b"\n", 0, cut), block[cut:]
-    except (EOFError, zlib.error, gzip.BadGzipFile):  # a block may lose lines a line read keeps
-        with open_read(path) as again:
-            out.writelines(itertools.islice(again, sent, None))
-        raise
+    reader wakes this process once a pipeful, not once a line or 8 KiB."""
+    tail = b""
+    while block := fh.read(1 << 16):
+        block = tail + block
+        cut = block.rfind(b"\n") + 1
+        out.write(block[:cut])
+        tail = block[cut:]
     out.write(tail)
 
 
 def _gunzipped(path: str, fh) -> Iterator[bytes]:
-    """fh's lines, which a forked child gunzips and writes to a pipe. At a fault
-    (a damaged .gz) the child has written the lines that reading here yields and
-    exits 1; this process then reads ``path`` itself to meet the same fault."""
-    pid, pipe = fork(lambda out: _send_lines(path, fh, out))
+    """fh's lines, which a forked child gunzips and writes to a pipe. If the child
+    stops early for any reason (at damage it exits 1, and its last block read may
+    lose lines a line read keeps), this process reads ``path`` itself after the
+    whole lines yielded, so it meets any fault after the same line."""
+    pid, pipe = fork(lambda out: _send_lines(fh, out))
+    sent, line = 0, b"\n"
     try:
-        yield from pipe
+        for line in pipe:
+            if line[-1] != 10:  # no newline: the file's last line, or a write cut short
+                break
+            sent += 1
+            yield line
     except BaseException:  # closed early, or the pipe failed
         import signal  # here: a process that reads no .gz never loads it
         os.kill(pid, signal.SIGKILL)  # a child that forked later may hold the pipe open too
@@ -164,9 +164,9 @@ def _gunzipped(path: str, fh) -> Iterator[bytes]:
         status = os.waitpid(pid, 0)[1]
     if status:
         with open_read(path) as again:
-            for _ in again:
-                pass
-        raise OSError("the gunzip process ended before its stream")
+            yield from itertools.islice(again, sent, None)
+    elif line[-1] != 10:
+        yield line
 
 
 def read_jsonl(path: str, parse: Callable, strict: bool = False,

@@ -189,12 +189,12 @@ def _write_manifest(output_dir: str, command: str, params: dict, hashed_inputs: 
     atomic.write_json(os.path.join(output_dir, "manifest.json"), manifest, indent=2)
 
 
-def _prep_config(args) -> textprep.PreprocessConfig:
+def _prep_config(args) -> frozenset[str]:
     path = args.stopwords
     if path is None:
-        return textprep.default_config()
+        return textprep.builtin_stopwords()
     try:
-        return textprep.PreprocessConfig(stopwords=textprep.load_stopwords(path))
+        return textprep.load_stopwords(path)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: stopword list is not valid UTF-8: {exc}") from None
 
@@ -251,7 +251,7 @@ def cmd_preprocess(args) -> dict:
     atomic.write_jsonl(out_path, ({"id": cid, "community": community, "tokens": tokens}
                                   for cid, community, tokens in rows))
     print(f"preprocessed {len(rows)} comment(s) -> {out_path} ({dropped} dropped)")
-    return {"kept": len(rows), "dropped": dropped, "stopwords": len(prep.stopwords)}
+    return {"kept": len(rows), "dropped": dropped, "stopwords": len(prep)}
 
 
 def cmd_topics(args) -> dict:
@@ -292,7 +292,7 @@ def _assemble_dataset(args, seed: int):
         return corpus.load_dataset(args.dataset), None
     prep = _prep_config(args)
     return corpus.build_balanced(_comments(args, args.pos), _comments(args, args.neg),
-                                 seed=seed, config=prep)
+                                 seed=seed, stopwords=prep)
 
 
 def cmd_train(args) -> dict:

@@ -196,21 +196,6 @@ def iter_jsonl(
         path, functools.partial(comment_from_record, platform, community_filter), strict, on_skip)
 
 
-def load_jsonl(
-    path: str,
-    community_filter: set[str] | None = None,
-    platform: Platform = Platform.REDDIT,
-    strict: bool = False,
-) -> tuple[CorpusSlice, int]:
-    """Load a JSONL dump into a CorpusSlice, preserving line order.
-
-    Returns (slice, number of skipped malformed lines).
-    """
-    skipped = []
-    comments = iter_jsonl(path, community_filter, platform, strict, skipped.append)
-    return CorpusSlice(comments), len(skipped)
-
-
 def write_jsonl(comments: Iterable[Comment], path: str) -> int:
     """Write comments in the generic schema, one line each as they arrive;
     returns the count. A comment that would not read back equal raises."""
@@ -246,14 +231,13 @@ def sample_without_replacement(items: list, n: int, rng: random.Random) -> list:
 # ---------------------------------------------------------------------------
 
 
-def tokenize(comments: Iterable[Comment], config=None) -> tuple[list, int]:
+def tokenize(comments: Iterable[Comment], stopwords=None) -> tuple[list, int]:
     """Preprocess comments, read once, into (id, community, tokens) rows. A
     comment that is deleted, or has no token left, is dropped. Returns the
     rows and the drop tally."""
-    cfg = config or textprep.default_config()
     rows, dropped = [], 0
     for c in comments:
-        tokens = None if c.deleted else textprep.preprocess(c.body, cfg)
+        tokens = None if c.deleted else textprep.preprocess(c.body, stopwords)
         if tokens:
             rows.append((c.id, c.community, tokens))
         else:
@@ -286,15 +270,15 @@ def build_balanced(
     positive: Iterable[Comment],
     negative: Iterable[Comment],
     seed: int = 0,
-    config=None,
+    stopwords=None,
 ) -> tuple[LabeledDataset, int]:
     """Build an exactly balanced dataset, downsampling the majority side.
 
     Returns (dataset, drop tally) where the tally counts deleted and
     empty-after-preprocessing documents removed before balancing.
     """
-    pos, dropped_p = tokenize(positive, config)
-    neg, dropped_n = tokenize(negative, config)
+    pos, dropped_p = tokenize(positive, stopwords)
+    neg, dropped_n = tokenize(negative, stopwords)
     for side, rows in (("positive", pos), ("negative", neg)):
         if not rows:
             raise ValueError(f"the {side} side must be non-empty after preprocessing")

@@ -557,18 +557,9 @@ def median_precision_gap(
     seeds: Sequence[int] = (0, 1, 2, 3, 4), **kwargs
 ) -> dict:
     """community_vs_keyword_gap across seeds, reduced to the median gap."""
+    import statistics  # here: the CLI never loads it (nor decimal and fractions)
     runs = [community_vs_keyword_gap(seed=s, **kwargs) for s in seeds]
     return {
         "runs": runs,
-        "median_precision_gap": _median([r["precision_gap"] for r in runs]),
+        "median_precision_gap": statistics.median([r["precision_gap"] for r in runs]),
     }
-
-
-def _median(values: Sequence[float]) -> float:
-    """statistics.median, without importing statistics (and with it decimal
-    and fractions) on every CLI start."""
-    data = sorted(values)
-    if not data:
-        raise ValueError("median of no values")
-    mid = len(data) // 2
-    return data[mid] if len(data) % 2 else (data[mid - 1] + data[mid]) / 2

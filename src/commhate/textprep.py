@@ -14,7 +14,6 @@ line) so results are reproducible without any external resource.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 
@@ -55,26 +54,17 @@ def load_stopwords(path: str) -> frozenset[str]:
         return frozenset(w.strip().lower() for w in fh if w.strip())
 
 
-@dataclass(frozen=True)
-class PreprocessConfig:
-    stopwords: frozenset[str] = field(default_factory=builtin_stopwords)
-
-
-def default_config() -> PreprocessConfig:
-    return PreprocessConfig()
-
-
-def preprocess(body: str, config: PreprocessConfig | None = None) -> list[str]:
+def preprocess(body: str, stopwords: frozenset[str] | None = None) -> list[str]:
     """Normalize and tokenize one comment body.
 
     Total function: any input (including empty) yields a token list, possibly
     empty. Output tokens never contain whitespace, uppercase letters,
-    digits, or the config's stopwords.
+    digits, or ``stopwords`` (None: the built-in list; an empty set keeps all).
     """
-    cfg = config or default_config()
+    if stopwords is None:
+        stopwords = builtin_stopwords()
     text = body.lower()
     # Every _URL_RE alternative needs a "/" or a "www.".
     if "/" in body or "www." in text:
         text = _URL_RE.sub(" ", body).lower()
-    stopwords = cfg.stopwords
     return [tok for tok in text.translate(_CHARS).split() if tok not in stopwords]

@@ -27,8 +27,8 @@ from commhate.corpus import (
     LabeledDataset,
     build_balanced,
     imbalanced_subset,
+    CorpusSlice,
     iter_jsonl,
-    load_jsonl,
     write_dataset,
     write_jsonl,
 )
@@ -350,12 +350,13 @@ def test_c12_ingestion_throughput(tmp_path):
         assert count == n
         assert count / elapsed > 20_000, f"{path.name}: {count / elapsed:.0f} lines/s"
 
-    loaded, skipped = load_jsonl(str(plain))
-    assert skipped == 0 and len(loaded) == n
+    skipped = []
+    loaded = CorpusSlice(iter_jsonl(str(plain), on_skip=skipped.append))
+    assert skipped == [] and len(loaded) == n
     echo = tmp_path / "echo.jsonl"
     write_jsonl(loaded, str(echo))
-    again, skipped = load_jsonl(str(echo))
-    assert skipped == 0
+    again = CorpusSlice(iter_jsonl(str(echo), on_skip=skipped.append))
+    assert skipped == []
     assert again.comments == loaded.comments
 
     # a generator pulls line by line; nothing forces whole-file materialization

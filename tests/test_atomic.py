@@ -345,13 +345,42 @@ class TestGunzipChild:
         with pytest.raises(ValueError, match=r":5001: malformed record"):
             list(atomic.read_jsonl(str(path), lambda v: v, strict=True))
 
-    def test_a_child_that_dies_is_an_os_error(self, tmp_path, monkeypatch):
-        # Not a truncated .gz: that would be one skipped line in lenient mode.
-        _cpus(monkeypatch, 2)
+    @pytest.mark.parametrize("kind", ["clean", "truncated"])
+    @pytest.mark.parametrize("blocks,cut", [(0, 0), (1, 0), (1, 1001)],
+                             ids=["before-writing", "after-a-block", "mid-line"])
+    def test_a_child_that_stops_early_reads_as_in_process(self, tmp_path, monkeypatch,
+                                                           kind, blocks, cut):
+        # Not damage: the child exits 3 before it writes anything, after its
+        # first 64 KiB block, or partway into a line of its second block (as a
+        # kill during a write to a full pipe leaves it); this process reads the
+        # rest of the file itself.
+        class Stopping:
+            def __init__(self, out):
+                self.out, self.left = out, blocks
+
+            def write(self, data):
+                if not self.left:
+                    self.out.write(data[:cut])
+                    self.out.flush()
+                    os._exit(3)
+                self.left -= 1
+                self.out.write(data)
+
+        path = tmp_path / "dump.jsonl.gz"
+        path.write_bytes(gzip.compress(_dump_lines(3000)) if kind == "clean" else _damaged(kind))
         real = atomic.fork
-        monkeypatch.setattr(atomic, "fork", lambda send: real(lambda out: os._exit(3)))
-        with pytest.raises(OSError, match="^the gunzip process ended before its stream$"):
-            list(atomic.read_jsonl(self._big(tmp_path), lambda v: v))
+        monkeypatch.setattr(atomic, "fork", lambda send: real(lambda out: send(Stopping(out))))
+        in_process, child, forks = _both_ways(path, monkeypatch)
+        assert child == in_process and forks == 2
+        (values, skipped, _), (_, _, message) = in_process
+        if kind == "clean":
+            assert (len(values), skipped, message) == (3000, [], None)
+        else:
+            assert skipped == [len(values) + 1]
+            assert message.startswith(f"{path}: compressed stream truncated "
+                                      f"after line {len(values)}: ")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
     def test_child_ends_when_the_reader_is_killed(self, tmp_path):

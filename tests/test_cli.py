@@ -76,7 +76,8 @@ class TestEntryPoints:
 
     def test_cli_import_leaves_statistics_unloaded(self):
         # statistics pulls in decimal and fractions: memory and start-up time
-        # on every CLI pass for one median.
+        # on every CLI pass for one median. signal is loaded only to kill a
+        # gunzip child, so a run that reads no .gz never loads it.
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
@@ -84,7 +85,7 @@ class TestEntryPoints:
         out = subprocess.run(
             [sys.executable, "-c",
              "import sys, commhate.cli; "
-             "print(sorted({'statistics', 'decimal', 'fractions'} & set(sys.modules)))"],
+             "print(sorted({'statistics', 'decimal', 'fractions', 'signal'} & set(sys.modules)))"],
             capture_output=True, text=True, env=env,
         )
         assert out.returncode == 0, out.stderr
@@ -367,6 +368,21 @@ class TestPreprocess:
         ]
         assert all("slurone" not in r["tokens"] for r in rows)
         assert any("slurtwo" in r["tokens"] for r in rows)
+
+    def test_empty_stopword_file_removes_nothing(self, tmp_path):
+        pos, neg = tmp_path / "pos.jsonl", tmp_path / "neg.jsonl"
+        _write_jsonl(pos, _reddit_rows("hateclub", ["the slurone", "a slurtwo"] * 4, "h"))
+        _write_jsonl(neg, _reddit_rows("kindclub", ["the kindone", "a kindtwo"] * 4, "k"))
+        empty = tmp_path / "empty.txt"
+        empty.write_text("", encoding="utf-8")
+        assert _run(["preprocess", "--input", str(pos), "--stopwords", str(empty),
+                     "--output-dir", str(tmp_path / "prep")]) == 0
+        rows = (tmp_path / "prep" / "tokens.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(l)["tokens"][0] for l in rows] == ["the", "a"] * 4
+        assert _run(["train", "--pos", str(pos), "--neg", str(neg), "--min-df", "1",
+                     "--stopwords", str(empty), "--output-dir", str(tmp_path / "model")]) == 0
+        rows = (tmp_path / "model" / "dataset.jsonl").read_text(encoding="utf-8").splitlines()
+        assert {json.loads(l)["tokens"][0] for l in rows} == {"the", "a"}
 
     def test_non_utf8_stopwords_is_data_error(self, corpora, tmp_path, capsys):
         pos, _ = corpora
@@ -1023,7 +1039,7 @@ def _setting_cases(d):
         "stopwords_path": (["preprocess", "--input", str(d / "pos.jsonl")],
                            ["--stopwords", str(d / "one.txt")],
                            {"stopwords_path": str(d / "three.txt")},
-                           (1, 3, len(textprep.default_config().stopwords)),
+                           (1, 3, len(textprep.builtin_stopwords())),
                            _param("stopwords")),
         "experiments": (["experiment"], None,
                         {"experiments": [{"name": "e", "test_source": "cv:2", "kinds": ["nb"],

@@ -31,6 +31,12 @@ def _slice(n, body="some words here", community="c"):
     return CorpusSlice(tuple(_comment(i, body, community) for i in range(n)))
 
 
+def _load(path, **kwargs):
+    """The comments ``iter_jsonl`` reads from ``path``, and how many lines it skipped."""
+    skipped = []
+    return CorpusSlice(corpus.iter_jsonl(path, on_skip=skipped.append, **kwargs)), len(skipped)
+
+
 class TestComment:
     def test_requires_id_and_community(self):
         with pytest.raises(ValueError, match="id"):
@@ -110,14 +116,14 @@ class TestJsonlIO:
             json.dumps({"id": "1", "body": "a", "subreddit": "s"}),
             json.dumps({"id": "2", "body": "b", "subreddit": "s"}),
         ])
-        sl, skipped = corpus.load_jsonl(str(p))
+        sl, skipped = _load(str(p))
         assert [c.id for c in sl.comments] == ["1", "2"]
         assert skipped == 0
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "c.jsonl"
         p.write_text("", encoding="utf-8")
-        sl, skipped = corpus.load_jsonl(str(p))
+        sl, skipped = _load(str(p))
         assert len(sl) == 0 and skipped == 0
 
     def test_malformed_line_lenient_and_strict(self, tmp_path):
@@ -127,11 +133,11 @@ class TestJsonlIO:
             "{not json",
             json.dumps({"id": "3", "body": "c", "subreddit": "s"}),
         ])
-        sl, skipped = corpus.load_jsonl(str(p))
+        sl, skipped = _load(str(p))
         assert [c.id for c in sl.comments] == ["1", "3"]
         assert skipped == 1
         with pytest.raises(ValueError, match=r":2:"):
-            corpus.load_jsonl(str(p), strict=True)
+            _load(str(p), strict=True)
 
     def test_community_filter(self, tmp_path):
         p = tmp_path / "c.jsonl"
@@ -139,7 +145,7 @@ class TestJsonlIO:
             json.dumps({"id": "1", "body": "a", "subreddit": "keep"}),
             json.dumps({"id": "2", "body": "b", "subreddit": "drop"}),
         ])
-        sl, _ = corpus.load_jsonl(str(p), community_filter={"keep"})
+        sl, _ = _load(str(p), community_filter={"keep"})
         assert [c.community for c in sl.comments] == ["keep"]
 
     def test_gzip_round_trip(self, tmp_path):
@@ -154,7 +160,7 @@ class TestJsonlIO:
         corpus.write_jsonl(original, str(p))
         with gzip.open(p, "rt", encoding="utf-8") as fh:
             assert len(fh.readlines()) == 5
-        loaded, skipped = corpus.load_jsonl(str(p), platform=Platform.REDDIT)
+        loaded, skipped = _load(str(p), platform=Platform.REDDIT)
         assert skipped == 0
         for a, b in zip(original.comments, loaded.comments):
             assert (a.id, a.body, a.community, a.created_at, a.author) == (
@@ -166,7 +172,7 @@ class TestJsonlIO:
         p1 = tmp_path / "a.jsonl"
         p2 = tmp_path / "b.jsonl"
         corpus.write_jsonl(original, str(p1))
-        loaded, _ = corpus.load_jsonl(str(p1), platform=Platform.OTHER)
+        loaded, _ = _load(str(p1), platform=Platform.OTHER)
         corpus.write_jsonl(loaded, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
@@ -281,7 +287,7 @@ class TestJsonlIO:
         p.write_bytes(b'{"id": "1", "body": "a", "subreddit": "s"}\r\n'
                       b"  \r\n\n"
                       b'{"id": "2", "body": "b\xc3\xa9", "subreddit": "s"}\n')
-        sl, skipped = corpus.load_jsonl(str(p))
+        sl, skipped = _load(str(p))
         assert [(c.id, c.body) for c in sl.comments] == [("1", "a"), ("2", "b\u00e9")]
         assert skipped == 0
 
@@ -378,7 +384,7 @@ class TestWriteJsonl:
             except (TypeError, ValueError):
                 assert not os.listdir(tmp)
                 return
-            loaded, skipped = corpus.load_jsonl(path, platform=platform)
+            loaded, skipped = _load(path, platform=platform)
         assert (list(loaded), skipped) == (comments, 0)
 
 

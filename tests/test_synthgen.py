@@ -17,7 +17,7 @@ from commhate.synthgen import (
     generate,
     write_ground_truth,
 )
-from commhate.textprep import PreprocessConfig, builtin_stopwords, preprocess
+from commhate.textprep import builtin_stopwords, preprocess
 
 
 class TestSpec:
@@ -115,9 +115,8 @@ class TestGenerate:
     def test_tokens_survive_preprocessing(self):
         pos, _, _ = generate(SynthSpec(n_docs=10, vocab_core=6, vocab_shared=6,
                                        overlap_weight=0.3))
-        cfg = PreprocessConfig(stopwords=builtin_stopwords())
         for c in pos.comments:
-            assert preprocess(c.body, cfg) == c.body.split()
+            assert preprocess(c.body, builtin_stopwords()) == c.body.split()
 
 
 def _oracle_pick(block, rng, zipf):

@@ -15,14 +15,14 @@ _PUNCT_RE = re.compile(r"[^\w\s]|_")
 _DIGIT_RE = re.compile(r"\d+")
 
 
-def _reference(body, cfg):
+def _reference(body, stop):
     text = textprep._URL_RE.sub(" ", body).lower()
     text = _DIGIT_RE.sub("", _PUNCT_RE.sub(" ", text))
     tokens = [
         tok if tok.isascii() else "".join(c for c in tok if not c.isnumeric())
         for tok in text.split()
     ]
-    return [tok for tok in tokens if tok and tok not in cfg.stopwords]
+    return [tok for tok in tokens if tok and tok not in stop]
 
 
 # Fragments that steer the URL guard, the table's three outcomes and the
@@ -36,101 +36,105 @@ _BODIES = st.lists(_FRAGMENTS | st.text(max_size=6), max_size=16).map("".join)
 
 
 @pytest.fixture(scope="module")
-def cfg():
-    return textprep.default_config()
+def stop():
+    return textprep.builtin_stopwords()
 
 
 class TestPreprocess:
-    def test_documented_example(self, cfg):
-        assert textprep.preprocess("Check HTTP://x.com THE 123 cats!!", cfg) == ["cats"]
+    def test_documented_example(self, stop):
+        assert textprep.preprocess("Check HTTP://x.com THE 123 cats!!", stop) == ["cats"]
 
-    def test_empty_input(self, cfg):
-        assert textprep.preprocess("", cfg) == []
+    def test_empty_input(self, stop):
+        assert textprep.preprocess("", stop) == []
 
-    def test_url_variants_removed(self, cfg):
+    def test_url_variants_removed(self, stop):
         for body in (
             "visit https://example.com/a?b=1 now",
             "visit www.example.com now",
             "visit example.com/path now",
         ):
-            assert textprep.preprocess(body, cfg) == ["visit"]
+            assert textprep.preprocess(body, stop) == ["visit"]
 
-    def test_bare_domain_without_path_is_kept_as_tokens(self, cfg):
+    def test_bare_domain_without_path_is_kept_as_tokens(self, stop):
         # Only domains with a path count as bare URLs; "example.com" alone
         # splits into plain tokens at the dot.
-        assert textprep.preprocess("example.com", cfg) == ["example", "com"]
+        assert textprep.preprocess("example.com", stop) == ["example", "com"]
 
-    def test_lowercasing(self, cfg):
-        assert textprep.preprocess("CaTs DoGs", cfg) == ["cats", "dogs"]
+    def test_lowercasing(self, stop):
+        assert textprep.preprocess("CaTs DoGs", stop) == ["cats", "dogs"]
 
-    def test_punctuation_becomes_space(self, cfg):
-        assert textprep.preprocess("cats,dogs", cfg) == ["cats", "dogs"]
+    def test_punctuation_becomes_space(self, stop):
+        assert textprep.preprocess("cats,dogs", stop) == ["cats", "dogs"]
 
-    def test_contraction_splits_to_stopword_fragments(self, cfg):
+    def test_contraction_splits_to_stopword_fragments(self, stop):
         # "don't" -> "don t"; both halves are stopwords.
-        assert textprep.preprocess("don't panic", cfg) == ["panic"]
+        assert textprep.preprocess("don't panic", stop) == ["panic"]
 
-    def test_digits_deleted_not_spaced(self, cfg):
+    def test_digits_deleted_not_spaced(self, stop):
         # Digit stripping deletes in place: "abc123def" stays one token.
-        assert textprep.preprocess("abc123def", cfg) == ["abcdef"]
+        assert textprep.preprocess("abc123def", stop) == ["abcdef"]
 
-    def test_standalone_number_vanishes(self, cfg):
-        assert textprep.preprocess("42", cfg) == []
+    def test_standalone_number_vanishes(self, stop):
+        assert textprep.preprocess("42", stop) == []
 
-    def test_unicode_lowercased_and_kept(self, cfg):
-        assert textprep.preprocess("Grüße MÜNCHEN", cfg) == ["grüße", "münchen"]
+    def test_unicode_lowercased_and_kept(self, stop):
+        assert textprep.preprocess("Grüße MÜNCHEN", stop) == ["grüße", "münchen"]
 
-    def test_underscore_is_punctuation(self, cfg):
-        assert textprep.preprocess("snake_case", cfg) == ["snake", "case"]
+    def test_underscore_is_punctuation(self, stop):
+        assert textprep.preprocess("snake_case", stop) == ["snake", "case"]
 
     def test_stopword_filter_respects_config_set(self):
-        cfg = textprep.PreprocessConfig(stopwords=frozenset({"cats"}))
-        assert textprep.preprocess("cats dogs", cfg) == ["dogs"]
+        assert textprep.preprocess("cats dogs", frozenset({"cats"})) == ["dogs"]
+
+    def test_an_empty_stopword_set_removes_nothing(self):
+        # None means the built-in list; an empty set is a list of no words.
+        assert textprep.preprocess("the cat", frozenset()) == ["the", "cat"]
+        assert textprep.preprocess("the cat") == ["cat"]
 
 
 class TestPreprocessProperties:
     @given(st.text(max_size=200))
     def test_tokens_are_clean(self, body):
-        cfg = textprep.default_config()
-        for tok in textprep.preprocess(body, cfg):
+        stop = textprep.builtin_stopwords()
+        for tok in textprep.preprocess(body, stop):
             assert tok == tok.lower()
             assert not any(ch.isnumeric() for ch in tok)
             assert not any(ch.isspace() for ch in tok)
-            assert tok not in cfg.stopwords
+            assert tok not in stop
             assert tok  # never empty
 
     @given(st.text(max_size=200))
     def test_idempotent_under_default_config(self, body):
-        cfg = textprep.default_config()
-        once = textprep.preprocess(body, cfg)
-        again = textprep.preprocess(" ".join(once), cfg)
+        stop = textprep.builtin_stopwords()
+        once = textprep.preprocess(body, stop)
+        again = textprep.preprocess(" ".join(once), stop)
         assert once == again
 
     @given(st.text(max_size=200))
     def test_deterministic(self, body):
-        cfg = textprep.default_config()
-        assert textprep.preprocess(body, cfg) == textprep.preprocess(body, cfg)
+        stop = textprep.builtin_stopwords()
+        assert textprep.preprocess(body, stop) == textprep.preprocess(body, stop)
 
 
 class TestReferenceOracle:
     @given(_BODIES)
     @settings(max_examples=500, deadline=None)
     def test_matches_regex_pipeline(self, body):
-        cfg = textprep.default_config()
-        assert textprep.preprocess(body, cfg) == _reference(body, cfg)
+        stop = textprep.builtin_stopwords()
+        assert textprep.preprocess(body, stop) == _reference(body, stop)
 
     def test_every_code_point_matches_regex_pipeline(self, monkeypatch):
         # A fresh table, so the one the module keeps does not end up
         # holding every code point.
         monkeypatch.setattr(textprep, "_CHARS", type(textprep._CHARS)())
-        cfg = textprep.default_config()
+        stop = textprep.builtin_stopwords()
         for start in range(0, sys.maxunicode + 1, 4096):
             block = range(start, min(start + 4096, sys.maxunicode + 1))
             body = "x".join(map(chr, block))
-            assert textprep.preprocess(body, cfg) == _reference(body, cfg), hex(start)
+            assert textprep.preprocess(body, stop) == _reference(body, stop), hex(start)
 
-    def test_numeric_characters_beyond_decimal_digits_are_deleted(self, cfg):
-        assert textprep.preprocess("cat\u00b2 dog\u00bd \u0663", cfg) == ["cat", "dog"]
+    def test_numeric_characters_beyond_decimal_digits_are_deleted(self, stop):
+        assert textprep.preprocess("cat\u00b2 dog\u00bd \u0663", stop) == ["cat", "dog"]
 
 
 class TestStopwords:
@@ -150,7 +154,7 @@ class TestStopwords:
         assert {"the", "a", "and", "is", "t", "s", "check"} <= words
 
 
-def test_ascii_letters_only_tokens_pass_through(cfg=None):
-    cfg = textprep.default_config()
+def test_ascii_letters_only_tokens_pass_through(stop=None):
+    stop = textprep.builtin_stopwords()
     body = " ".join(["zq" + c for c in string.ascii_lowercase])
-    assert textprep.preprocess(body, cfg) == body.split()
+    assert textprep.preprocess(body, stop) == body.split()
